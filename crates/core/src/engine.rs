@@ -46,7 +46,9 @@ use acq_mjoin::plan::{CompiledOp, PlanOrders};
 use acq_mjoin::stats::OnlineStats;
 use acq_sketch::bloom::MissProbEstimator;
 use acq_sketch::WindowStat;
-use acq_stream::{Composite, CompositeId, Op, QuerySchema, RelId, Update, Value};
+use acq_stream::{
+    Composite, CompositeId, Op, QuerySchema, RelId, TupleRef, Update, Value, MAX_PARTS,
+};
 use acq_telemetry::{Event, EventLog, Histogram, TelemetrySnapshot};
 
 /// Which offline selection algorithm the Re-optimizer runs.
@@ -192,6 +194,9 @@ struct Tap {
     group: usize,
     segment: Vec<RelId>,
     maint_attrs: Vec<acq_stream::AttrRef>,
+    /// Globally-consistent taps only: the segment join seeded by an update
+    /// to the hosting pipeline's relation, compiled when plans are built.
+    ops: Vec<CompiledOp>,
 }
 
 /// Per-pipeline execution plan derived from candidate states.
@@ -208,6 +213,12 @@ struct PipelinePlan {
     /// stream: their segment-join delta is computed separately on every
     /// update to this relation.
     gc_direct: Vec<Tap>,
+    /// First position from which an unprofiled tuple meets no tap, Bloom
+    /// feed or cache lookup: the rest of the pipeline runs as one
+    /// depth-first [`JoinCore::walk`].
+    tail: usize,
+    /// [`PipelinePlan::tail`] for profiled tuples, which skip lookups.
+    tail_profiled: usize,
 }
 
 /// Aggregate engine counters.
@@ -328,10 +339,8 @@ pub struct AdaptiveJoinEngine {
     scratch_next: Vec<Composite>,
     /// Reusable pipeline frontier buffer.
     scratch_frontier: Vec<Composite>,
-    /// Reusable segment-walk frontier for cache misses.
-    scratch_seg: Vec<Composite>,
-    /// Partner buffer for the segment walk's swap loop.
-    scratch_seg_next: Vec<Composite>,
+    /// Reusable globally-consistent maintenance delta buffer.
+    scratch_gc: Vec<Composite>,
     /// Reusable `create(u, v)` value staging buffer.
     scratch_values: Vec<(Composite, u32)>,
     /// Reusable per-operator profile record for sampled tuples.
@@ -414,8 +423,7 @@ impl AdaptiveJoinEngine {
             fruitless_streak: 0,
             scratch_next: Vec::new(),
             scratch_frontier: Vec::new(),
-            scratch_seg: Vec::new(),
-            scratch_seg_next: Vec::new(),
+            scratch_gc: Vec::new(),
             scratch_values: Vec::new(),
             scratch_profile: Vec::new(),
             scratch_key: Vec::new(),
@@ -505,6 +513,8 @@ impl AdaptiveJoinEngine {
             .iter()
             .map(|p| CompiledOp::compile_pipeline(self.core.query(), self.core.relations(), p))
             .collect();
+        // Globally-consistent taps hold compiled operators too.
+        self.rebuild_plans();
     }
 
     // ------------------------------------------------------------------
@@ -594,6 +604,8 @@ impl AdaptiveJoinEngine {
                     taps: (0..ops).map(|_| Vec::new()).collect(),
                     bloom: (0..ops).map(|_| Vec::new()).collect(),
                     gc_direct: Vec::new(),
+                    tail: 0,
+                    tail_profiled: 0,
                 }
             })
             .collect();
@@ -642,16 +654,37 @@ impl AdaptiveJoinEngine {
                 group: g,
                 segment: c.cand.segment.clone(),
                 maint_attrs: c.cand.maint_attrs.clone(),
+                ops: Vec::new(),
             };
             if c.cand.is_global() {
                 // Maintained by separate delta computation on updates to
-                // segment relations.
+                // segment relations: join the updated tuple of `l` with the
+                // rest of the segment.
                 for &l in &c.cand.segment {
                     if tap_added.contains(&(g, l)) {
                         continue;
                     }
                     tap_added.push((g, l));
-                    plans[l.0 as usize].gc_direct.push(tap.clone());
+                    let mut done = vec![l];
+                    let ops = c
+                        .cand
+                        .segment
+                        .iter()
+                        .filter(|&&r| r != l)
+                        .map(|&target| {
+                            let op = CompiledOp::compile(
+                                self.core.query(),
+                                self.core.relations(),
+                                &done,
+                                target,
+                            );
+                            done.push(target);
+                            op
+                        })
+                        .collect();
+                    plans[l.0 as usize]
+                        .gc_direct
+                        .push(Tap { ops, ..tap.clone() });
                 }
             } else {
                 let tap_pos = c.cand.segment.len() - 1;
@@ -683,6 +716,21 @@ impl AdaptiveJoinEngine {
                     );
                 }
             }
+        }
+        // The step-by-step loop materializes the frontier up to the last
+        // position that feeds a tap or Bloom filter (fed before the walk
+        // starts there) and, for unprofiled tuples, past the last lookup.
+        for plan in &mut plans {
+            let fed = (0..plan.taps.len())
+                .rev()
+                .find(|&j| !plan.taps[j].is_empty() || !plan.bloom[j].is_empty())
+                .unwrap_or(0);
+            plan.tail_profiled = fed;
+            plan.tail = plan
+                .lookup
+                .iter()
+                .rposition(Option::is_some)
+                .map_or(fed, |j| fed.max(j + 1));
         }
         self.plans = plans;
     }
@@ -734,7 +782,7 @@ impl AdaptiveJoinEngine {
         // separately (§6; the prefix invariant doesn't hand it to us) and
         // apply it before any pipeline runs.
         if !plan.gc_direct.is_empty() {
-            self.maintain_gc_direct(&plan.gc_direct, u.rel, &tref, u.op);
+            self.maintain_gc_direct(&plan.gc_direct, &tref, u.op);
         }
 
         let profiled = self.profiler.should_profile(u.rel);
@@ -785,6 +833,11 @@ impl AdaptiveJoinEngine {
         out: &mut Vec<(Op, Composite)>,
     ) {
         let num_ops = self.compiled[pi].len();
+        let tail = if profiled {
+            plan.tail_profiled
+        } else {
+            plan.tail
+        };
         let mut frontier = std::mem::take(&mut self.scratch_frontier);
         frontier.clear();
         frontier.push(seed);
@@ -812,6 +865,10 @@ impl AdaptiveJoinEngine {
                 j += 1;
                 continue;
             }
+            if j >= tail {
+                self.walk_tail(pi, j, &mut frontier, profiled.then_some(&mut profile_rec));
+                break;
+            }
             // (c) CacheLookup (skipped for profiled tuples, §4.3/App. A).
             let lookup = if profiled { None } else { plan.lookup[j] };
             if let Some(ci) = lookup {
@@ -832,12 +889,7 @@ impl AdaptiveJoinEngine {
             for c in frontier.drain(..) {
                 let before = next.len();
                 self.core.probe_join_owned(c, op, &mut next);
-                let total_preds = op.index_access.is_some() as usize + op.residual.len();
-                if total_preds == 1 {
-                    let source = op
-                        .index_access
-                        .map(|(_, p)| p.rel)
-                        .unwrap_or_else(|| op.residual[0].1.rel);
+                if let Some(source) = op.single_predicate_source() {
                     self.online.record_probe(
                         source,
                         op.target,
@@ -870,6 +922,52 @@ impl AdaptiveJoinEngine {
         self.scratch_frontier = frontier;
     }
 
+    /// Run the frontier at position `j` through the rest of pipeline `pi`
+    /// with [`JoinCore::walk`], replacing it with the pipeline's results.
+    /// Records the same operator metrics, selectivity samples and profile
+    /// entries as the step-by-step loop.
+    fn walk_tail(
+        &mut self,
+        pi: usize,
+        j: usize,
+        frontier: &mut Vec<Composite>,
+        mut profile_rec: Option<&mut Vec<(f64, u64)>>,
+    ) {
+        let ops = &self.compiled[pi][j..];
+        // Relation sizes cannot change during the walk.
+        let mut sizes = [0usize; MAX_PARTS];
+        for (size, op) in sizes.iter_mut().zip(ops) {
+            *size = self.core.relation(op.target).len();
+        }
+        let mut tally = [(0u64, 0u64); MAX_PARTS];
+        let mut next = std::mem::take(&mut self.scratch_next);
+        next.clear();
+        let online = &mut self.online;
+        for c in frontier.drain(..) {
+            self.core
+                .walk(c, ops, &mut tally, &mut next, |k, produced| {
+                    if let Some(source) = ops[k].single_predicate_source() {
+                        online.record_probe(source, ops[k].target, produced, sizes[k]);
+                    }
+                });
+        }
+        for (k, &(tuples_in, ns)) in tally[..ops.len()].iter().enumerate() {
+            let tuples_out = if k + 1 < ops.len() {
+                tally[k + 1].0
+            } else {
+                next.len() as u64
+            };
+            if let Some(rec) = profile_rec.as_deref_mut() {
+                rec.push((tuples_in as f64, ns));
+            }
+            if tuples_in > 0 {
+                self.op_metrics[pi].record_op(j + k, tuples_in, tuples_out, ns);
+            }
+        }
+        std::mem::swap(frontier, &mut next);
+        self.scratch_next = next;
+    }
+
     /// Probe a used cache for every frontier composite; on miss, run the
     /// covered segment and `create` the entry. Appends the resulting
     /// frontier to `out` and returns the segment end position.
@@ -898,8 +996,7 @@ impl AdaptiveJoinEngine {
         let key_attrs = std::mem::take(&mut self.cands[ci].cand.probe_attrs);
         let segment = std::mem::take(&mut self.cands[ci].cand.segment);
         let mut key = std::mem::take(&mut self.scratch_key);
-        let mut seg_frontier = std::mem::take(&mut self.scratch_seg);
-        let mut seg_next = std::mem::take(&mut self.scratch_seg_next);
+        let mut tally = [(0u64, 0u64); MAX_PARTS];
         let mut values = std::mem::take(&mut self.scratch_values);
         let mut store = self.stores[group].take().expect("used cache has a store");
         let key_len = key_attrs.len();
@@ -941,22 +1038,13 @@ impl AdaptiveJoinEngine {
                     misses += 1;
                     // Run the covered segment for this composite alone
                     // (seeded with the moved prefix — no clone).
-                    seg_frontier.clear();
-                    seg_frontier.push(c);
-                    for op in &self.compiled[pi][start..=end] {
-                        seg_next.clear();
-                        for f in seg_frontier.drain(..) {
-                            self.core.probe_join_owned(f, op, &mut seg_next);
-                        }
-                        std::mem::swap(&mut seg_frontier, &mut seg_next);
-                        if seg_frontier.is_empty() {
-                            break;
-                        }
-                    }
+                    let before = out.len();
+                    let ops = &self.compiled[pi][start..=end];
+                    self.core.walk(c, ops, &mut tally, out, |_, _| {});
                     // create(u, v): v restricted to segment relations.
                     values.clear();
                     values.extend(
-                        seg_frontier
+                        out[before..]
                             .iter()
                             .filter_map(|f| f.restrict(&segment))
                             .map(|v| (v, 1)),
@@ -964,7 +1052,6 @@ impl AdaptiveJoinEngine {
                     let create_cost = self.core.cost_model().cache_update(values.len());
                     store.create_hashed(&key, hash, values.drain(..));
                     self.core.charge(create_cost);
-                    out.append(&mut seg_frontier);
                     miss_ns += self.core.now_ns() - t0;
                 }
             }
@@ -975,8 +1062,6 @@ impl AdaptiveJoinEngine {
         let _ = (op_kind, is_global);
         self.stores[group] = Some(store);
         self.scratch_key = key;
-        self.scratch_seg = seg_frontier;
-        self.scratch_seg_next = seg_next;
         self.scratch_values = values;
         self.cands[ci].cand.probe_attrs = key_attrs;
         self.cands[ci].cand.segment = segment;
@@ -1030,45 +1115,23 @@ impl AdaptiveJoinEngine {
     /// Separately-computed maintenance for globally-consistent caches: join
     /// the updated tuple with the other segment relations (charged through
     /// the normal operator costs) and apply the resulting segment-join delta.
-    fn maintain_gc_direct(
-        &mut self,
-        taps: &[Tap],
-        rel: RelId,
-        tref: &acq_stream::TupleRef,
-        op_kind: Op,
-    ) {
+    fn maintain_gc_direct(&mut self, taps: &[Tap], tref: &TupleRef, op_kind: Op) {
+        let mut tally = [(0u64, 0u64); MAX_PARTS];
+        let mut delta = std::mem::take(&mut self.scratch_gc);
+        let mut key = std::mem::take(&mut self.scratch_key);
+        let per = self.core.cost_model().cache_update(1);
         for tap in taps {
             if self.stores[tap.group].is_none() {
                 continue;
             }
-            // Progressive join through the remaining segment relations.
-            let mut frontier = vec![Composite::unit(tref.clone())];
-            let mut done: Vec<RelId> = vec![rel];
-            let mut next = Vec::new();
-            for &target in tap.segment.iter().filter(|&&r| r != rel) {
-                let op =
-                    CompiledOp::compile(self.core.query(), self.core.relations(), &done, target);
-                next.clear();
-                for c in &frontier {
-                    self.core.probe_join(c, &op, &mut next);
-                }
-                std::mem::swap(&mut frontier, &mut next);
-                done.push(target);
-                if frontier.is_empty() {
-                    break;
-                }
-            }
-            if frontier.is_empty() {
-                continue;
-            }
-            let per = self.core.cost_model().cache_update(1);
-            self.core.charge(frontier.len() as u64 * per);
-            let mut key = std::mem::take(&mut self.scratch_key);
+            delta.clear();
+            let seed = Composite::unit(tref.clone());
+            self.core
+                .walk(seed, &tap.ops, &mut tally, &mut delta, |_, _| {});
+            self.core.charge(delta.len() as u64 * per);
             let store = self.stores[tap.group].as_mut().expect("checked above");
-            for c in &frontier {
-                let Some(seg) = c.restrict(&tap.segment) else {
-                    continue;
-                };
+            // Each delta holds exactly the segment's relations.
+            for seg in delta.drain(..) {
                 key.clear();
                 key.extend(
                     tap.maint_attrs
@@ -1081,8 +1144,9 @@ impl AdaptiveJoinEngine {
                     Op::Delete => store.delete_hashed(&key, hash, &seg, 1),
                 }
             }
-            self.scratch_key = key;
         }
+        self.scratch_key = key;
+        self.scratch_gc = delta;
     }
 
     /// Feed Bloom miss-probability estimators with probe-key hashes.

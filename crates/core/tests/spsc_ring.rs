@@ -9,32 +9,43 @@
 //! * **Drop-while-nonempty leak check** — the ring's `Drop` must drain and
 //!   drop unconsumed items. Proven two ways: a drop-counting payload, and a
 //!   global alloc/dealloc-counting allocator balancing heap traffic across
-//!   the ring's whole lifetime.
+//!   the ring's whole lifetime on the test's own thread.
 
 use acq::runtime::spsc::ring;
 use std::alloc::{GlobalAlloc, Layout, System};
+use std::cell::Cell;
 use std::collections::VecDeque;
 use std::sync::atomic::{AtomicU64, Ordering};
 
 /// Counts allocations and deallocations so tests can assert that a scope
 /// returned every byte it took (no leaks, including ring-internal buffers).
+/// Counts are per thread: tests run on parallel threads, and another test's
+/// heap traffic must not show up in this one's balance.
 struct CountingAlloc;
 
-static ALLOCS: AtomicU64 = AtomicU64::new(0);
-static DEALLOCS: AtomicU64 = AtomicU64::new(0);
-static ALLOC_BYTES: AtomicU64 = AtomicU64::new(0);
-static DEALLOC_BYTES: AtomicU64 = AtomicU64::new(0);
+thread_local! {
+    /// `(allocations − deallocations, bytes allocated − bytes freed)` on
+    /// this thread. Const-initialized with no destructor, so the allocator
+    /// can touch it at any point of the thread's life.
+    static BALANCE: Cell<(i64, i64)> = const { Cell::new((0, 0)) };
+}
+
+fn count(calls: i64, bytes: i64) {
+    // `try_with` fails only while the thread's TLS is being torn down.
+    let _ = BALANCE.try_with(|b| {
+        let (c, n) = b.get();
+        b.set((c + calls, n + bytes));
+    });
+}
 
 unsafe impl GlobalAlloc for CountingAlloc {
     unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
-        ALLOCS.fetch_add(1, Ordering::Relaxed);
-        ALLOC_BYTES.fetch_add(layout.size() as u64, Ordering::Relaxed);
+        count(1, layout.size() as i64);
         unsafe { System.alloc(layout) }
     }
 
     unsafe fn dealloc(&self, ptr: *mut u8, layout: Layout) {
-        DEALLOCS.fetch_add(1, Ordering::Relaxed);
-        DEALLOC_BYTES.fetch_add(layout.size() as u64, Ordering::Relaxed);
+        count(-1, -(layout.size() as i64));
         unsafe { System.dealloc(ptr, layout) }
     }
 }
@@ -42,11 +53,10 @@ unsafe impl GlobalAlloc for CountingAlloc {
 #[global_allocator]
 static GLOBAL: CountingAlloc = CountingAlloc;
 
+/// This thread's heap balance; a ring used only on this thread must leave
+/// it where it found it.
 fn heap_balance() -> (i64, i64) {
-    (
-        ALLOCS.load(Ordering::SeqCst) as i64 - DEALLOCS.load(Ordering::SeqCst) as i64,
-        ALLOC_BYTES.load(Ordering::SeqCst) as i64 - DEALLOC_BYTES.load(Ordering::SeqCst) as i64,
-    )
+    BALANCE.with(Cell::get)
 }
 
 /// Deterministic xorshift64* — the schedule is reproducible from the seed.

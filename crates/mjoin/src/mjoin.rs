@@ -187,12 +187,7 @@ impl MJoin {
                 let produced_before = next.len();
                 self.core.probe_join(c, op, &mut next);
                 // Identifiable single-predicate probe → selectivity sample.
-                let total_preds = op.index_access.is_some() as usize + op.residual.len();
-                if total_preds == 1 {
-                    let source = op
-                        .index_access
-                        .map(|(_, p)| p.rel)
-                        .unwrap_or_else(|| op.residual[0].1.rel);
+                if let Some(source) = op.single_predicate_source() {
                     let produced = next.len() - produced_before;
                     self.online.record_probe(
                         source,

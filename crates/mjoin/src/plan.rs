@@ -166,6 +166,15 @@ impl CompiledOp {
         }
     }
 
+    /// The prefix relation this operator joins on when it evaluates exactly
+    /// one predicate: its probes sample that pair's join selectivity.
+    pub fn single_predicate_source(&self) -> Option<RelId> {
+        match (self.index_access, self.residual.as_slice()) {
+            (Some((_, p)), []) | (None, &[(_, p)]) => Some(p.rel),
+            _ => None,
+        }
+    }
+
     /// Compile a whole pipeline.
     pub fn compile_pipeline(
         query: &QuerySchema,

@@ -33,6 +33,11 @@ run cargo test -q --offline -p acq --test spsc_ring || fail=1
 # "smoke" section, never "current".
 run scripts/bench.sh --smoke || fail=1
 
+# Benchmark correctness gate (tier 2): tiny runs of every perfbench
+# workload in both modes — single vs sharded vs the naive oracle — checked
+# against BENCHMARK.json.
+run python3 perfbench/selftest.py || fail=1
+
 # Documentation gate: every public item is documented (missing_docs is
 # enabled crate-side) and rustdoc warnings are errors.
 run env RUSTDOCFLAGS="-D warnings" cargo doc --no-deps --offline --workspace || fail=1

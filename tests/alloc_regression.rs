@@ -4,32 +4,47 @@
 //! bands recycling, Arc pool and scratch buffers warm), then counts global
 //! heap allocations across a block of updates. The whole point of the slab
 //! stores, inline composites, and hash-once probes is that a steady-state
-//! update allocates **nothing** — this test pins that property so it cannot
-//! silently regress.
+//! update allocates **nothing** — these tests pin that property so it
+//! cannot silently regress, with no cache, with a plain cache (miss walks
+//! and profiled walks), and with a globally-consistent cache (separately
+//! computed maintenance).
 
 use std::alloc::{GlobalAlloc, Layout, System};
-use std::sync::atomic::{AtomicU64, Ordering};
+use std::cell::Cell;
 
+use acq::candidates::EnumerationConfig;
 use acq::engine::{AdaptiveJoinEngine, CacheMode, EngineConfig, ReoptInterval};
 use acq_gen::spec::chain3_default;
-use acq_stream::QuerySchema;
+use acq_mjoin::plan::{PipelineOrder, PlanOrders};
+use acq_stream::{QuerySchema, RelId, Update};
+use acq_telemetry::MetricValue;
 
 /// System allocator wrapper counting every allocation (and reallocation —
-/// a growing `Vec` is still an allocation for our purposes).
+/// a growing `Vec` is still an allocation for our purposes). Counts are per
+/// thread: the engine runs on the test's thread, and tests run in parallel.
 struct CountingAlloc;
 
-static ALLOCS: AtomicU64 = AtomicU64::new(0);
+thread_local! {
+    /// Allocations made on this thread. Const-initialized with no
+    /// destructor, so the allocator can touch it at any point.
+    static ALLOCS: Cell<u64> = const { Cell::new(0) };
+}
+
+fn count() {
+    // `try_with` fails only while the thread's TLS is being torn down.
+    let _ = ALLOCS.try_with(|n| n.set(n.get() + 1));
+}
 
 unsafe impl GlobalAlloc for CountingAlloc {
     unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
-        ALLOCS.fetch_add(1, Ordering::Relaxed);
+        count();
         System.alloc(layout)
     }
     unsafe fn dealloc(&self, ptr: *mut u8, layout: Layout) {
         System.dealloc(ptr, layout)
     }
     unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
-        ALLOCS.fetch_add(1, Ordering::Relaxed);
+        count();
         System.realloc(ptr, layout, new_size)
     }
 }
@@ -37,49 +52,148 @@ unsafe impl GlobalAlloc for CountingAlloc {
 #[global_allocator]
 static GLOBAL: CountingAlloc = CountingAlloc;
 
-#[test]
-fn steady_state_update_is_allocation_free() {
-    // Housekeeping (stat epochs, re-optimization) runs rarely by design and
-    // may allocate; push it out of the measured window so the test observes
-    // the pure per-update path.
-    let config = EngineConfig {
-        mode: CacheMode::None,
+/// Housekeeping (stat epochs, re-optimization) runs rarely by design and
+/// may allocate; push it out of the measured window so the tests observe
+/// the pure per-update path.
+fn config(mode: CacheMode) -> EngineConfig {
+    EngineConfig {
+        mode,
         reopt_interval: ReoptInterval::Tuples(u64::MAX),
         stats_epoch_ns: u64::MAX,
         ..EngineConfig::default()
-    };
-    let mut engine = AdaptiveJoinEngine::with_config(
-        QuerySchema::chain3(),
-        acq_mjoin::plan::PlanOrders::identity(&QuerySchema::chain3()),
-        config,
-    );
-
-    // Int-only sliding-window chain workload, pre-generated so the stream
-    // generator's own allocations stay outside the measurement.
-    let updates = chain3_default(5, 100, 0xA110C).generate(30_000);
-    let (warmup, measured) = updates.split_at(25_000);
-
-    let mut out = Vec::new();
-    for u in warmup {
-        out.clear();
-        engine.process_into(u, &mut out);
     }
+}
 
-    // One extra lap pre-sizes `out` for the largest delta burst in the
-    // measured block, then the actual measurement.
-    out.clear();
-    let before = ALLOCS.load(Ordering::Relaxed);
+/// Feed at least 25,000 updates and until `warm` holds, then count
+/// allocations over the rest of the stream. The stream is pre-generated so
+/// the generator's own allocations stay outside the measurement.
+fn assert_steady_state_allocation_free(
+    engine: &mut AdaptiveJoinEngine,
+    updates: &[Update],
+    warm: impl Fn(&AdaptiveJoinEngine) -> bool,
+) {
+    let mut out = Vec::new();
+    let mut fed = 0;
+    for chunk in updates.chunks(1_000) {
+        if fed >= 25_000 && warm(engine) {
+            break;
+        }
+        for u in chunk {
+            out.clear();
+            engine.process_into(u, &mut out);
+        }
+        fed += chunk.len();
+    }
+    let measured = &updates[fed..];
+    assert!(
+        measured.len() >= 5_000,
+        "stream too short for a steady state"
+    );
+    let before = ALLOCS.with(Cell::get);
     for u in measured {
         out.clear();
         engine.process_into(u, &mut out);
     }
-    let after = ALLOCS.load(Ordering::Relaxed);
-
+    let allocs = ALLOCS.with(Cell::get) - before;
     assert_eq!(
-        after - before,
+        allocs,
         0,
-        "steady-state hot path allocated {} times over {} updates",
-        after - before,
+        "steady-state hot path allocated {allocs} times over {} updates",
         measured.len()
     );
+}
+
+#[test]
+fn steady_state_update_is_allocation_free() {
+    let mut engine = AdaptiveJoinEngine::with_config(
+        QuerySchema::chain3(),
+        PlanOrders::identity(&QuerySchema::chain3()),
+        config(CacheMode::None),
+    );
+    // Int-only sliding-window chain workload.
+    let updates = chain3_default(5, 100, 0xA110C).generate(30_000);
+    assert_steady_state_allocation_free(&mut engine, &updates, |_| true);
+}
+
+/// Arrivals generated for the cache cases: long enough for every bucket of
+/// a 1024-bucket store to see a key, with updates left to measure.
+const STREAM: usize = 120_000;
+
+/// Sum of gauge `name` over all its label sets.
+fn gauge_total(engine: &AdaptiveJoinEngine, name: &str) -> f64 {
+    let snap = engine.telemetry_snapshot();
+    let gauges = snap.metrics().iter().filter(|m| m.name == name);
+    gauges
+        .map(|m| match m.value {
+            MetricValue::Gauge(v) => v,
+            _ => 0.0,
+        })
+        .sum()
+}
+
+/// A cache store allocates an entry the first time a key lands in an empty
+/// bucket; after that, displaced entries donate their buffers. Steady state
+/// starts once every bucket holds an entry.
+fn store_full(engine: &AdaptiveJoinEngine) -> bool {
+    gauge_total(engine, "store.entries") == gauge_total(engine, "store.buckets")
+}
+
+/// The R⋈S cache in ∆T's pipeline: misses walk the segment, and profiled
+/// ∆T tuples (which skip the lookup) walk the whole pipeline.
+#[test]
+fn steady_state_with_plain_cache_is_allocation_free() {
+    let q = QuerySchema::chain3();
+    let mut engine = AdaptiveJoinEngine::with_config(
+        q.clone(),
+        PlanOrders::identity(&q),
+        config(CacheMode::Forced(vec![(
+            RelId(2),
+            vec![RelId(0), RelId(1)],
+        )])),
+    );
+    assert_eq!(engine.used_caches().len(), 1, "forced cache must exist");
+    let updates = chain3_default(5, 100, 0xA110C).generate(STREAM);
+    let before = engine.counters();
+    assert_steady_state_allocation_free(&mut engine, &updates, store_full);
+    let after = engine.counters();
+    assert!(
+        after.cache_misses > before.cache_misses,
+        "no miss walks ran"
+    );
+    assert!(after.cache_hits > before.cache_hits, "no cache hits");
+}
+
+/// Figure 12's plan with its globally-consistent (S⋈T)⋉R cache in ∆R's
+/// pipeline forced on: every S and T update computes the cache's
+/// segment-join delta separately.
+///
+/// The stream is the §7.2 one. Figure 12's cyclic stream would also make
+/// the relation stores allocate: when a tuple expires as an equal tuple
+/// arrives, the delete removes the newest instance, so the old one pins its
+/// slab page and the band grows by a page every 64 inserts.
+#[test]
+fn steady_state_with_global_cache_is_allocation_free() {
+    let p = |stream: u16, order: [u16; 2]| PipelineOrder {
+        stream: RelId(stream),
+        order: order.iter().map(|&r| RelId(r)).collect(),
+    };
+    let orders = PlanOrders::new(vec![p(0, [1, 2]), p(1, [0, 2]), p(2, [1, 0])]);
+    let mut cfg = config(CacheMode::Forced(vec![(
+        RelId(0),
+        vec![RelId(1), RelId(2)],
+    )]));
+    cfg.enumeration = EnumerationConfig {
+        enable_global: true,
+        max_candidates: 6,
+        ..Default::default()
+    };
+    let mut engine = AdaptiveJoinEngine::with_config(QuerySchema::chain3(), orders, cfg);
+    let used = engine.used_caches();
+    assert!(
+        used.len() == 1 && used[0].contains('⋉'),
+        "forced cache must be globally consistent, got {used:?}"
+    );
+    let updates = chain3_default(5, 100, 0xA110C).generate(STREAM);
+    assert_steady_state_allocation_free(&mut engine, &updates, store_full);
+    assert!(engine.cache_memory_bytes() > 0, "global cache stayed empty");
 }
