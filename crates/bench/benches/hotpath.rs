@@ -32,15 +32,16 @@
 //! Results are merged under a section named by `--label <name>` (default
 //! `current`; `baseline`/`scoped` sections are recorded once from the
 //! pre-optimization layouts), so the files carry the perf trajectory
-//! across PRs. `--smoke` runs a 1-iteration-scale sanity pass for CI,
-//! recorded under the `smoke` section so real measurements survive it.
-//! `--only hotpath|shard` runs one group and writes only its file; any
-//! other `--only` substring filters scenarios without touching the JSON.
+//! across PRs. `--smoke` runs a 1-iteration-scale sanity pass for CI and
+//! only prints: it writes no file. `--only hotpath|shard` runs one group
+//! and writes only its file; any other `--only` substring filters
+//! scenarios without touching the JSON. Headline ratios compare scenarios
+//! of this invocation only, never stored sections.
 
 use acq::engine::{AdaptiveJoinEngine, EngineConfig, ReoptInterval, SelectionStrategy};
 use acq::shard::reference::ScopedShardedEngine;
 use acq::shard::{ShardConfig, ShardedEngine};
-use acq_bench::report::{field_of, merge_label_section};
+use acq_bench::report::merge_label_section;
 use acq_gen::column::ColumnGen;
 use acq_gen::spec::{chain3_default, StreamSpec, Workload};
 use acq_mjoin::plan::PlanOrders;
@@ -188,7 +189,13 @@ impl Exec {
         let mut deltas = 0u64;
         for chunk in updates.chunks(chunk) {
             deltas += match self {
-                Exec::Single(e) => e.process_batch(chunk).len() as u64,
+                Exec::Single(e) => {
+                    let mut out = Vec::new();
+                    for u in chunk {
+                        e.process_into(u, &mut out);
+                    }
+                    out.len() as u64
+                }
                 Exec::Sharded(e) => e.process_batch(chunk).len() as u64,
                 Exec::Scoped(e) => e.process_batch(chunk).len() as u64,
             };
@@ -253,23 +260,26 @@ fn scenario_json(m: &Measured) -> String {
     )
 }
 
-fn write_bench_json(path: &str, label: &str, scenarios: &[(String, Measured)], smoke: bool) -> Vec<(String, String)> {
+fn write_bench_json(path: &str, label: &str, scenarios: &[(String, Measured)]) {
     let mut body = String::from("{\n");
-    body.push_str(&format!("    \"smoke\": {smoke},\n"));
     for (i, (name, m)) in scenarios.iter().enumerate() {
         body.push_str(&format!("    \"{name}\": {}", scenario_json(m)));
         body.push_str(if i + 1 < scenarios.len() { ",\n" } else { "\n" });
     }
     body.push_str("  }");
-    merge_label_section(path, label, body)
+    merge_label_section(path, label, body);
 }
 
-/// Print `name: a/b` when both scenario fields exist in `section`.
-fn headline(section: &str, name: &str, num: &str, den: &str) {
-    if let (Some(a), Some(b)) = (
-        field_of(section, num, "ns_per_update"),
-        field_of(section, den, "ns_per_update"),
-    ) {
+/// Print `name: num/den` in ns/update when this run measured both
+/// scenarios.
+fn headline(results: &[(&str, String, Measured)], name: &str, num: &str, den: &str) {
+    let ns = |scenario: &str| {
+        results
+            .iter()
+            .find(|(_, n, _)| n == scenario)
+            .map(|(_, _, m)| m.ns_per_update)
+    };
+    if let (Some(a), Some(b)) = (ns(num), ns(den)) {
         println!("{name}: {:.2}x ({a:.0} vs {b:.0} ns/update)", a / b);
     }
 }
@@ -315,9 +325,7 @@ fn main() {
         .and_then(|i| args.get(i + 1))
         .cloned()
         .or_else(|| std::env::var("BENCH_LABEL").ok())
-        // Smoke numbers are not measurements: keep them out of "current"
-        // unless a label is asked for explicitly.
-        .unwrap_or_else(|| if smoke { "smoke" } else { "current" }.to_string());
+        .unwrap_or_else(|| "current".to_string());
     // `--only hotpath` / `--only shard` runs one whole group (its JSON is
     // written); any other substring filters scenarios without touching the
     // JSON — for quick A/B iterations and profiling single scenarios.
@@ -368,7 +376,16 @@ fn main() {
         );
         results.push((s.group, s.name.to_string(), m));
     }
-    if only.is_some() && !group_only {
+    // Headlines compare scenarios of this run only: the sharded executor's
+    // routing and merge tax over the plain engine, spawn-free batches vs
+    // per-batch scoped spawns, and the small-batch inline criterion
+    // (4shard/b8 must be ≤ 1x).
+    headline(&results, "chain3 4shard vs 1shard", "chain3/4shard", "chain3/1shard");
+    headline(&results, "4shard/b1024 scoped vs persistent", "chain3/4shard/b1024/scoped", "chain3/4shard/b1024");
+    headline(&results, "4shard/b8 vs 1shard/b8", "star4/4shard/b8", "star4/1shard/b8");
+    // Smoke numbers are not measurements, and a scenario filter leaves a
+    // group incomplete: neither is written.
+    if smoke || (only.is_some() && !group_only) {
         return;
     }
     for (group, path) in [("hotpath", "BENCH_hotpath.json"), ("shard", "BENCH_shard.json")] {
@@ -377,34 +394,8 @@ fn main() {
             .filter(|(g, _, _)| *g == group)
             .map(|(_, n, m)| (n.clone(), *m))
             .collect();
-        if group_results.is_empty() {
-            continue;
-        }
-        let sections = write_bench_json(path, &label, &group_results, smoke);
-        let find = |l: &str| sections.iter().find(|(s, _)| s == l).map(|(_, b)| b.as_str());
-        match group {
-            "hotpath" => {
-                // Headline ratio: single-shard chain3, current vs baseline.
-                if let (Some(b), Some(c)) = (find("baseline"), find("current")) {
-                    if let (Some(b_ns), Some(c_ns)) = (
-                        field_of(b, "chain3/1shard", "ns_per_update"),
-                        field_of(c, "chain3/1shard", "ns_per_update"),
-                    ) {
-                        println!(
-                            "chain3/1shard speedup vs baseline: {:.2}x ({b_ns:.0} -> {c_ns:.0} ns/update)",
-                            b_ns / c_ns
-                        );
-                    }
-                }
-            }
-            _ => {
-                if let Some(c) = find(&label) {
-                    // Spawn-free batches vs per-batch scoped spawns, and the
-                    // small-batch inline criterion (4shard/b8 must be ≤ 1x).
-                    headline(c, "4shard/b1024 scoped vs persistent", "chain3/4shard/b1024/scoped", "chain3/4shard/b1024");
-                    headline(c, "4shard/b8 vs 1shard/b8", "star4/4shard/b8", "star4/1shard/b8");
-                }
-            }
+        if !group_results.is_empty() {
+            write_bench_json(path, &label, &group_results);
         }
     }
 }

@@ -178,24 +178,10 @@ pub fn existing_sections(text: &str) -> Vec<(String, String)> {
     out
 }
 
-/// Pull a numeric field out of one scenario object inside a section.
-pub fn field_of(section: &str, scenario: &str, field: &str) -> Option<f64> {
-    let s0 = section.find(&format!("\"{scenario}\""))?;
-    let rest = &section[s0..];
-    let f0 = rest.find(&format!("\"{field}\""))?;
-    let after = &rest[f0..];
-    let colon = after.find(':')?;
-    let tail = after[colon + 1..].trim_start();
-    let end = tail
-        .find(|c: char| c != '-' && c != '.' && !c.is_ascii_digit())
-        .unwrap_or(tail.len());
-    tail[..end].parse().ok()
-}
-
 /// Merge one label's section body into a bench-JSON file, preserving every
-/// other label, and return the file's resulting sections. Write failures
-/// are reported, not fatal (console output is the primary artifact).
-pub fn merge_label_section(path: &str, label: &str, body: String) -> Vec<(String, String)> {
+/// other label. Write failures are reported, not fatal (console output is
+/// the primary artifact).
+pub fn merge_label_section(path: &str, label: &str, body: String) {
     let mut sections: Vec<(String, String)> = std::fs::read_to_string(path)
         .map(|t| existing_sections(&t))
         .unwrap_or_default();
@@ -214,7 +200,6 @@ pub fn merge_label_section(path: &str, label: &str, body: String) -> Vec<(String
     } else {
         println!("wrote {path} (section \"{label}\")");
     }
-    sections
 }
 
 #[cfg(test)]
@@ -222,16 +207,15 @@ mod tests {
     use super::*;
 
     #[test]
-    fn sections_roundtrip_and_field_lookup() {
+    fn sections_roundtrip() {
         let text = "{\n  \"baseline\": {\n    \"a/b\": { \"ns_per_update\": 12.5 }\n  },\n  \
                     \"current\": {\n    \"a/b\": { \"ns_per_update\": 7.0 }\n  }\n}\n";
         let sections = existing_sections(text);
         assert_eq!(sections.len(), 2);
         assert_eq!(sections[0].0, "baseline");
-        assert_eq!(field_of(&sections[0].1, "a/b", "ns_per_update"), Some(12.5));
-        assert_eq!(field_of(&sections[1].1, "a/b", "ns_per_update"), Some(7.0));
-        assert_eq!(field_of(&sections[1].1, "a/b", "missing"), None);
-        assert_eq!(field_of(&sections[1].1, "zzz", "ns_per_update"), None);
+        assert_eq!(sections[1].0, "current");
+        let body = "{\n    \"a/b\": { \"ns_per_update\": 7.0 }\n  }";
+        assert_eq!(sections[1].1, body);
     }
 
     #[test]

@@ -240,60 +240,6 @@ pub struct EngineCounters {
     pub reorderings: u64,
 }
 
-/// One entry of the adaptivity event log — what the Re-optimizer did and
-/// when (virtual time). Useful for operators debugging plan churn and for
-/// the adaptivity experiments' narratives.
-#[derive(Debug, Clone, PartialEq)]
-pub enum AdaptivityEvent {
-    /// The offline selection ran; these caches are now used.
-    Selected {
-        /// Virtual time (ns).
-        at_ns: u64,
-        /// Names of the used caches after the selection.
-        caches: Vec<String>,
-    },
-    /// A used cache was demoted by the §4.5a monitor (net benefit < 0).
-    Demoted {
-        /// Virtual time (ns).
-        at_ns: u64,
-        /// Name of the demoted cache.
-        cache: String,
-    },
-    /// Pipeline orders changed (A-Greedy violation); caches were flushed.
-    Reordered {
-        /// Virtual time (ns).
-        at_ns: u64,
-    },
-}
-
-/// Maximum retained adaptivity events (oldest dropped beyond this).
-const MAX_EVENTS: usize = 512;
-
-/// Typed per-candidate diagnostics, replacing the old stringly
-/// [`AdaptiveJoinEngine::diagnostics`] output. One entry per enumerated
-/// candidate cache, in enumeration order.
-#[derive(Debug, Clone)]
-pub struct CandidateDiagnostics {
-    /// Candidate name, e.g. `C[∆R2: R0⋈R1 @0..1]`.
-    pub name: String,
-    /// Current lifecycle state (§4.5).
-    pub state: CacheState,
-    /// Is the hosting pipeline's profiler warm enough to estimate?
-    pub warm: bool,
-    /// Windowed miss-probability estimate, `None` until observed.
-    pub miss_prob: Option<f64>,
-    /// `d_ij`: tuples per unit time reaching the segment's first operator.
-    pub d_in: f64,
-    /// `Σ d_il·c_il`: unit-time processing the segment costs uncached.
-    pub seg_proc: f64,
-    /// Current §4.1 benefit/cost estimate, `None` until statistics warm up.
-    pub benefit_cost: Option<BenefitCost>,
-    /// Lifetime probe hits while this candidate was used.
-    pub hits: u64,
-    /// Lifetime probe misses while this candidate was used.
-    pub misses: u64,
-}
-
 /// A deliberately introduced cache-maintenance bug, used to validate that
 /// the differential-testing harness actually detects the discrepancy classes
 /// it claims to cover. Faults are inert in production: the field holding one
@@ -348,8 +294,6 @@ pub struct AdaptiveJoinEngine {
     /// Reusable probe/maintenance key buffer (avoids a `Vec<Value>`
     /// allocation per cache access).
     scratch_key: Vec<Value>,
-    /// Bounded adaptivity event log.
-    events: std::collections::VecDeque<AdaptivityEvent>,
     /// Per-pipeline operator metrics (telemetry; reset when orders change).
     op_metrics: Vec<PipelineMetrics>,
     /// Store statistics accumulated across stat epochs and store drops, one
@@ -427,7 +371,6 @@ impl AdaptiveJoinEngine {
             scratch_values: Vec::new(),
             scratch_profile: Vec::new(),
             scratch_key: Vec::new(),
-            events: std::collections::VecDeque::new(),
             op_metrics: num_ops.iter().map(|&k| PipelineMetrics::new(k)).collect(),
             group_stats: Vec::new(),
             granted_bytes: Vec::new(),
@@ -799,22 +742,9 @@ impl AdaptiveJoinEngine {
         self.maybe_housekeeping();
     }
 
-    /// Process a batch of updates in order, returning the concatenated
-    /// result deltas. Semantically identical to calling
-    /// [`AdaptiveJoinEngine::process`] per update; batching amortizes the
-    /// caller's dispatch and lets downstream consumers (e.g. the sharded
-    /// executor) hand over work wholesale.
-    pub fn process_batch(&mut self, updates: &[Update]) -> Vec<(Op, Composite)> {
-        let mut out = Vec::new();
-        for u in updates {
-            self.process_into(u, &mut out);
-        }
-        out
-    }
-
-    /// Like [`AdaptiveJoinEngine::process_batch`] but keeps per-update
-    /// grouping: `result[i]` is the delta list of `updates[i]`. The sharded
-    /// executor's deterministic merge needs the per-update boundaries.
+    /// Process a batch of updates in order, keeping per-update grouping:
+    /// `result[i]` is the delta list of `updates[i]`, exactly what
+    /// [`AdaptiveJoinEngine::process`] returns for it.
     pub fn process_batch_grouped(&mut self, updates: &[Update]) -> Vec<Vec<(Op, Composite)>> {
         updates.iter().map(|u| self.process(u)).collect()
     }
@@ -1242,16 +1172,11 @@ impl AdaptiveJoinEngine {
                     if bc.net() < 0.0 {
                         self.cands[ci].state = CacheState::Unused;
                         self.counters.demotions += 1;
-                        let name = self.cands[ci].cand.name();
                         self.tlog.push(
-                            Event::new(now, "cache.dropped", &name)
+                            Event::new(now, "cache.dropped", self.cands[ci].cand.name())
                                 .field("reason", "demoted")
                                 .field("net", bc.net()),
                         );
-                        self.log_event(AdaptivityEvent::Demoted {
-                            at_ns: now,
-                            cache: name,
-                        });
                         any_demoted = true;
                     }
                 }
@@ -1329,7 +1254,6 @@ impl AdaptiveJoinEngine {
                 self.set_orders(fresh);
                 self.counters.reorderings += 1;
                 self.tlog.push(Event::new(now, "plan.reordered", ""));
-                self.log_event(AdaptivityEvent::Reordered { at_ns: now });
                 return; // fresh candidates need profiling before selection
             }
         }
@@ -1510,9 +1434,6 @@ impl AdaptiveJoinEngine {
         }
 
         self.apply_selection(&chosen);
-        let caches = self.used_caches();
-        let at_ns = self.core.now_ns();
-        self.log_event(AdaptivityEvent::Selected { at_ns, caches });
     }
 
     /// Transition states per the selection, allocate memory, create stores.
@@ -1665,62 +1586,6 @@ impl AdaptiveJoinEngine {
         self.online.clear();
         self.rebuild_candidates();
         self.apply_forced_mode();
-    }
-
-    fn log_event(&mut self, ev: AdaptivityEvent) {
-        if self.events.len() == MAX_EVENTS {
-            self.events.pop_front();
-        }
-        self.events.push_back(ev);
-    }
-
-    /// The adaptivity event log (most recent last; bounded to 512 entries).
-    pub fn events(&self) -> impl Iterator<Item = &AdaptivityEvent> {
-        self.events.iter()
-    }
-
-    /// Drain and return the event log.
-    pub fn drain_events(&mut self) -> Vec<AdaptivityEvent> {
-        self.events.drain(..).collect()
-    }
-
-    /// Per-candidate diagnostics: state, key statistics, and the current
-    /// benefit/cost estimate. Observability API for operators, experiments,
-    /// and debugging — not on the hot path.
-    pub fn candidate_diagnostics(&self) -> Vec<CandidateDiagnostics> {
-        self.cands
-            .iter()
-            .enumerate()
-            .map(|(ci, cr)| {
-                let c = &cr.cand;
-                let i = c.pipeline;
-                CandidateDiagnostics {
-                    name: c.name(),
-                    state: cr.state,
-                    warm: self.profiler.pipeline_warm(i),
-                    miss_prob: cr.miss_window.average(),
-                    d_in: self.profiler.d(i, c.start),
-                    seg_proc: (c.start..=c.end).map(|j| self.profiler.op_proc(i, j)).sum(),
-                    benefit_cost: self.estimate(ci),
-                    hits: cr.hits,
-                    misses: cr.misses,
-                }
-            })
-            .collect()
-    }
-
-    /// Stringly-typed diagnostics, kept so existing callers compile.
-    #[deprecated(note = "use candidate_diagnostics() for typed data")]
-    pub fn diagnostics(&self) -> Vec<String> {
-        self.candidate_diagnostics()
-            .iter()
-            .map(|d| {
-                format!(
-                    "{} state={:?} warm={} miss={:?} d_in={:.1} seg_proc={:.0} bc={:?}",
-                    d.name, d.state, d.warm, d.miss_prob, d.d_in, d.seg_proc, d.benefit_cost
-                )
-            })
-            .collect()
     }
 
     /// Capture the engine's full telemetry state: counters, per-operator and

@@ -43,9 +43,17 @@
 //! baseline), `acq-sketch` (Bloom filters, W-window statistics), `acq-lp`
 //! (the simplex solver behind randomized rounding).
 //!
+//! Feeding: [`AdaptiveJoinEngine::process`] and `process_into` take one
+//! update (`process_batch_grouped` loops over `process`);
+//! [`ShardedEngine::process_batch`] and `process_batch_grouped` take a
+//! batch, and `try_process_batch_grouped` reports a poisoned shard as a
+//! typed [`ShardPanic`] instead of panicking.
+//!
 //! Observability: every engine exposes a structured
-//! [`acq_telemetry::TelemetrySnapshot`] (metrics + virtual-time event trace);
-//! the metric namespace is documented in `OBSERVABILITY.md` at the repo root.
+//! [`acq_telemetry::TelemetrySnapshot`] (metrics + virtual-time event trace),
+//! the one way to look inside an engine — the re-optimizer's decisions are
+//! its `selection.run`, `cache.*` and `plan.reordered` events. The metric
+//! namespace is documented in `OBSERVABILITY.md` at the repo root.
 
 #![warn(missing_docs)]
 
@@ -64,8 +72,8 @@ pub use cache::{CacheStats, CacheStore};
 pub use candidates::{enumerate_candidates, is_prefix_set, Candidate, EnumerationConfig};
 pub use cost::{benefit_cost, BenefitCost, CandidateEstimates};
 pub use engine::{
-    AdaptiveJoinEngine, AdaptivityEvent, CacheMode, CacheState, CandidateDiagnostics, EngineConfig,
-    EngineCounters, InjectedFault, ReoptInterval, SelectionStrategy,
+    AdaptiveJoinEngine, CacheMode, CacheState, EngineConfig, EngineCounters, InjectedFault,
+    ReoptInterval, SelectionStrategy,
 };
 pub use memory::{allocate, Allocation, MemoryConfig, MemoryRequest};
 pub use profiler::{Profiler, ProfilerConfig};

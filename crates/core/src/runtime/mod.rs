@@ -111,10 +111,10 @@ pub(crate) enum Dispatch {
 
 /// A worker panic that poisoned one shard.
 ///
-/// Returned by the `try_*` processing methods of
-/// [`ShardedEngine`](crate::shard::ShardedEngine): the panic payload is
-/// captured as a message, together with the poisoned shard's last
-/// obtainable telemetry snapshot. Other shards remain healthy and
+/// Returned by
+/// [`ShardedEngine::try_process_batch_grouped`](crate::shard::ShardedEngine::try_process_batch_grouped):
+/// the panic payload is captured as a message, together with the poisoned
+/// shard's last obtainable telemetry snapshot. Other shards remain healthy and
 /// drainable (their engines, counters, and telemetry stay accessible), but
 /// further batch processing is refused because the poisoned shard's state
 /// is lost.

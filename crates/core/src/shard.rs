@@ -50,10 +50,10 @@
 //! **Failure containment.** A panic inside a shard worker no longer aborts
 //! the process: the worker catches it, poisons only its own shard, and the
 //! engine surfaces a typed [`ShardPanic`] (shard id + last telemetry
-//! snapshot) from the `try_*` methods while the remaining shards drain
-//! cleanly and stay inspectable.
+//! snapshot) from [`ShardedEngine::try_process_batch_grouped`] while the
+//! remaining shards drain cleanly and stay inspectable.
 
-use crate::engine::{AdaptiveJoinEngine, EngineConfig, EngineCounters};
+use crate::engine::{AdaptiveJoinEngine, EngineConfig};
 use crate::runtime::{Dispatch, ShardRuntime};
 pub use crate::runtime::ShardPanic;
 use acq_mjoin::clock::ClockAggregate;
@@ -424,7 +424,8 @@ impl ShardedEngine {
 
     /// Test-only: make shard `i`'s worker panic on its next message,
     /// poisoning that shard (requires `num_shards > 1`). Exercises the
-    /// graceful-degradation path surfaced by the `try_*` methods.
+    /// graceful-degradation path surfaced by
+    /// [`ShardedEngine::try_process_batch_grouped`].
     #[cfg(any(test, feature = "fault-injection"))]
     pub fn inject_worker_panic(&mut self, i: usize) {
         assert!(
@@ -440,23 +441,6 @@ impl ShardedEngine {
         ClockAggregate::from_ns(
             (0..self.num_shards()).map(|i| self.runtime.engine(i).core().now_ns()),
         )
-    }
-
-    /// Engine counters summed over shards. A broadcast update counts once
-    /// per shard in `tuples_processed`.
-    pub fn counters_aggregate(&self) -> EngineCounters {
-        let mut agg = EngineCounters::default();
-        for i in 0..self.num_shards() {
-            let c = self.runtime.engine(i).counters();
-            agg.tuples_processed += c.tuples_processed;
-            agg.outputs_emitted += c.outputs_emitted;
-            agg.cache_hits += c.cache_hits;
-            agg.cache_misses += c.cache_misses;
-            agg.reoptimizations += c.reoptimizations;
-            agg.demotions += c.demotions;
-            agg.reorderings += c.reorderings;
-        }
-        agg
     }
 
     /// The canonical cross-shard telemetry merge, mirroring the delta-run
@@ -530,21 +514,20 @@ impl ShardedEngine {
     // ------------------------------------------------------------------
     // Processing
 
-    /// Process one update. Equivalent to a one-element
-    /// [`ShardedEngine::process_batch`]. Panics if a shard is poisoned —
-    /// use [`ShardedEngine::try_process`] for typed failure handling.
-    pub fn process(&mut self, u: &Update) -> Vec<(Op, Composite)> {
-        self.try_process(u).unwrap_or_else(|e| panic!("{e}"))
-    }
-
     /// Process a batch of updates (in the given order), returning the
     /// concatenated result deltas in global update order. Each update's
     /// delta group is in canonical row order. Panics if a shard is
-    /// poisoned — use [`ShardedEngine::try_process_batch`] for typed
-    /// failure handling.
+    /// poisoned — use [`ShardedEngine::try_process_batch_grouped`] for
+    /// typed failure handling.
     pub fn process_batch(&mut self, updates: &[Update]) -> Vec<(Op, Composite)> {
-        self.try_process_batch(updates)
-            .unwrap_or_else(|e| panic!("{e}"))
+        if self.runs_inline(updates) {
+            return self.run_inline(updates, None).unwrap_or_else(|e| panic!("{e}"));
+        }
+        let mut out = Vec::new();
+        for group in self.process_batch_grouped(updates) {
+            out.extend(group);
+        }
+        out
     }
 
     /// Like [`ShardedEngine::process_batch`] but keeps per-update grouping:
@@ -556,50 +539,95 @@ impl ShardedEngine {
             .unwrap_or_else(|e| panic!("{e}"))
     }
 
-    /// Fallible [`ShardedEngine::process`]: a poisoned shard yields a
-    /// [`ShardPanic`] instead of a panic.
-    pub fn try_process(&mut self, u: &Update) -> Result<Vec<(Op, Composite)>, ShardPanic> {
-        Ok(self
-            .try_process_batch_grouped(std::slice::from_ref(u))?
-            .pop()
-            .unwrap_or_default())
-    }
-
-    /// Fallible [`ShardedEngine::process_batch`]: a poisoned shard yields a
-    /// [`ShardPanic`] instead of a panic.
-    pub fn try_process_batch(
+    /// Fallible [`ShardedEngine::process_batch_grouped`]. Routes the batch
+    /// (updating the balancing directory), then either runs it inline
+    /// (small batches / single shard) or streams it through the persistent
+    /// worker runtime. On `Err` the failing shard
+    /// is poisoned permanently; healthy shards remain drained and
+    /// inspectable, but further processing is refused because the poisoned
+    /// shard's substream state is lost.
+    pub fn try_process_batch_grouped(
         &mut self,
         updates: &[Update],
-    ) -> Result<Vec<(Op, Composite)>, ShardPanic> {
-        if self.runtime.is_threaded() && updates.len() >= INLINE_BATCH {
-            let mut out = Vec::new();
-            for group in self.try_process_batch_grouped(updates)? {
-                out.extend(group);
-            }
-            return Ok(out);
+    ) -> Result<Vec<Vec<(Op, Composite)>>, ShardPanic> {
+        if self.runs_inline(updates) {
+            let mut ends = Vec::with_capacity(updates.len());
+            let mut deltas = self.run_inline(updates, Some(&mut ends))?.into_iter();
+            let mut start = 0;
+            return Ok(ends
+                .into_iter()
+                .map(|end| {
+                    let group = deltas.by_ref().take(end - start).collect();
+                    start = end;
+                    group
+                })
+                .collect());
         }
-        // Flat inline path: same routing and per-update canonical order as
-        // the grouped driver, but every delta lands in one output vector
-        // and each update's span is canonicalized in place — no per-update
-        // group vectors.
-        if updates.is_empty() {
-            return Ok(Vec::new());
+        self.begin_batch()?;
+        let mut out: Vec<Vec<(Op, Composite)>> = vec![Vec::new(); updates.len()];
+        let router = &mut self.router;
+        let routing = &mut self.routing;
+        self.runtime.run_batch(
+            updates,
+            |u| match router.route(u) {
+                Route::Shard(s) => {
+                    routing.routed += 1;
+                    Dispatch::Shard(s)
+                }
+                Route::Broadcast => {
+                    routing.broadcast += 1;
+                    Dispatch::All
+                }
+            },
+            &mut out,
+        )?;
+        let n_rels = self.query.num_relations();
+        for group in &mut out {
+            canonicalize_group(group, n_rels);
         }
+        Ok(out)
+    }
+
+    /// Small batches, and every batch without worker threads, run on the
+    /// calling thread.
+    fn runs_inline(&self, updates: &[Update]) -> bool {
+        !self.runtime.is_threaded() || updates.len() < INLINE_BATCH
+    }
+
+    /// Pre-flight for a batch: refuse it if a shard is poisoned, and
+    /// refresh the router's load view when due.
+    fn begin_batch(&mut self) -> Result<(), ShardPanic> {
         if let Some(failure) = self.runtime.first_failure() {
             return Err(failure);
         }
         let n_shards = self.num_shards();
         if n_shards > 1 && self.router.needs_refresh() {
-            let router = &mut self.router;
             let runtime = &self.runtime;
-            router.refresh_load((0..n_shards).map(|i| runtime.engine(i).core().now_ns()));
+            self.router
+                .refresh_load((0..n_shards).map(|i| runtime.engine(i).core().now_ns()));
         }
+        Ok(())
+    }
+
+    /// The inline path: route and process in arrival order on the caller
+    /// thread. Every delta lands in one flat vector and each update's span
+    /// is canonicalized in place, so no per-update group vector is built;
+    /// when `ends` is given, the end offset of each update's span is pushed
+    /// to it.
+    fn run_inline(
+        &mut self,
+        updates: &[Update],
+        mut ends: Option<&mut Vec<usize>>,
+    ) -> Result<Vec<(Op, Composite)>, ShardPanic> {
+        self.begin_batch()?;
         let n_rels = self.query.num_relations();
         let mut out: Vec<(Op, Composite)> = Vec::new();
         let mut start = 0;
         // Lock every shard engine once for the whole batch — the workers
         // only touch engines through jobs, and the inline path sends none.
-        let mut engines: Vec<_> = (0..n_shards).map(|i| self.runtime.engine(i)).collect();
+        let mut engines: Vec<_> = (0..self.num_shards())
+            .map(|i| self.runtime.engine(i))
+            .collect();
         for u in updates {
             match self.router.route(u) {
                 Route::Shard(s) => {
@@ -615,74 +643,9 @@ impl ShardedEngine {
             }
             canonicalize_group(&mut out[start..], n_rels);
             start = out.len();
-        }
-        Ok(out)
-    }
-
-    /// Fallible [`ShardedEngine::process_batch_grouped`]: the core batch
-    /// driver. Routes the batch (updating the balancing directory), then
-    /// either runs it inline (small batches / single shard) or streams it
-    /// through the persistent worker runtime. On `Err` the failing shard
-    /// is poisoned permanently; healthy shards remain drained and
-    /// inspectable, but further processing is refused because the poisoned
-    /// shard's substream state is lost.
-    pub fn try_process_batch_grouped(
-        &mut self,
-        updates: &[Update],
-    ) -> Result<Vec<Vec<(Op, Composite)>>, ShardPanic> {
-        if updates.is_empty() {
-            return Ok(Vec::new());
-        }
-        if let Some(failure) = self.runtime.first_failure() {
-            return Err(failure);
-        }
-        let n_shards = self.num_shards();
-        if n_shards > 1 && self.router.needs_refresh() {
-            let router = &mut self.router;
-            let runtime = &self.runtime;
-            router.refresh_load((0..n_shards).map(|i| runtime.engine(i).core().now_ns()));
-        }
-        let mut out: Vec<Vec<(Op, Composite)>> = vec![Vec::new(); updates.len()];
-        if !self.runtime.is_threaded() || updates.len() < INLINE_BATCH {
-            // Inline path: route and process in arrival order on the
-            // caller thread, holding every shard lock for the batch (the
-            // workers only touch engines through jobs; none are sent).
-            let mut engines: Vec<_> = (0..n_shards).map(|i| self.runtime.engine(i)).collect();
-            for (gi, u) in updates.iter().enumerate() {
-                match self.router.route(u) {
-                    Route::Shard(s) => {
-                        self.routing.routed += 1;
-                        engines[s].process_into(u, &mut out[gi]);
-                    }
-                    Route::Broadcast => {
-                        self.routing.broadcast += 1;
-                        for e in engines.iter_mut() {
-                            e.process_into(u, &mut out[gi]);
-                        }
-                    }
-                }
+            if let Some(ends) = ends.as_deref_mut() {
+                ends.push(start);
             }
-        } else {
-            let router = &mut self.router;
-            let routing = &mut self.routing;
-            self.runtime.run_batch(
-                updates,
-                |u| match router.route(u) {
-                    Route::Shard(s) => {
-                        routing.routed += 1;
-                        Dispatch::Shard(s)
-                    }
-                    Route::Broadcast => {
-                        routing.broadcast += 1;
-                        Dispatch::All
-                    }
-                },
-                &mut out,
-            )?;
-        }
-        let n_rels = self.query.num_relations();
-        for group in &mut out {
-            canonicalize_group(group, n_rels);
         }
         Ok(out)
     }
@@ -1020,7 +983,7 @@ mod tests {
         for u in &ups {
             let mut want = single.process(u);
             canonicalize_group(&mut want, 3);
-            let got = sharded.process(u);
+            let got = sharded.process_batch(std::slice::from_ref(u));
             assert_eq!(canon(&got, 3), canon(&want, 3));
         }
     }
@@ -1093,8 +1056,19 @@ mod tests {
             .check_invariants()
             .iter()
             .any(|v| v.contains("worker poisoned")));
-        let err2 = e.try_process(&updates[0]).expect_err("still poisoned");
+        let err2 = e
+            .try_process_batch_grouped(&updates[..1])
+            .expect_err("still poisoned");
         assert_eq!(err2.shard, 1);
+        assert_eq!(err2.message, err.message);
+        // The panicking entry point reports the same shard, on the inline
+        // path (8 updates) and the threaded one (64).
+        for len in [8usize, 64] {
+            let batch = std::panic::AssertUnwindSafe(|| e.process_batch(&updates[..len]));
+            let panic = std::panic::catch_unwind(batch).expect_err("poisoned engine must panic");
+            let text = panic.downcast_ref::<String>();
+            assert_eq!(text, Some(&err.to_string()), "batch of {len}");
+        }
     }
 
     #[test]
@@ -1107,9 +1081,12 @@ mod tests {
         assert_eq!(agg.shards, 2);
         assert!(agg.total_ns > 0);
         assert!(agg.max_ns >= agg.min_ns);
-        let c = e.counters_aggregate();
         // Star has no broadcast relations → every update processed once.
-        assert_eq!(c.tuples_processed, updates.len() as u64);
+        assert_eq!(
+            e.telemetry_snapshot()
+                .counter_total("engine.tuples_processed"),
+            updates.len() as u64
+        );
         let rs = e.routing_stats();
         assert_eq!(rs.routed, updates.len() as u64);
         assert_eq!(rs.broadcast, 0);

@@ -310,20 +310,22 @@ impl Relation {
     }
 
     /// Delete one tuple whose data equals `data` (multiset semantics: exactly
-    /// one instance is removed — the most recently inserted one). Returns the
-    /// removed reference, or `None` if no instance matches.
+    /// one instance is removed — the oldest one, so a sliding window's
+    /// expiries free slab pages in insertion order). Returns the removed
+    /// reference, or `None` if no instance matches.
     pub fn delete(&mut self, data: &TupleData) -> Option<TupleRef> {
         let hash = data_hash(data);
         let ids = self.by_data.get_mut(&hash)?;
         // The posting is keyed by hash: skip (rare) colliding entries by
-        // checking the stored data, picking the most recently inserted match.
+        // checking the stored data, picking the oldest match (ids grow with
+        // insertion order).
         let id = *ids
             .as_slice()
             .iter()
             .filter(|&&id| {
                 self.tuples.get(id).expect("by_data/tuples in sync").data == *data
             })
-            .max()?;
+            .min()?;
         ids.swap_remove_id(id);
         if ids.is_empty() {
             self.by_data.remove(&hash);
@@ -432,6 +434,17 @@ mod tests {
         assert!(r.delete(&TupleData::ints(&[5, 1])).is_some());
         assert!(r.delete(&TupleData::ints(&[5, 1])).is_none(), "exhausted");
         assert_eq!(r.len(), 0);
+    }
+
+    #[test]
+    fn delete_removes_oldest_equal_instance() {
+        let mut r = rel_with_index();
+        let old = r.insert(&TupleData::ints(&[5, 1]));
+        let new = r.insert(&TupleData::ints(&[5, 1]));
+        let removed = r.delete(&TupleData::ints(&[5, 1])).unwrap();
+        assert_eq!(removed.id, old.id);
+        let survivors: Vec<_> = r.scan().map(|t| t.id).collect();
+        assert_eq!(survivors, vec![new.id]);
     }
 
     #[test]

@@ -1,12 +1,13 @@
 #!/usr/bin/env bash
 # Perf trajectory runner: builds release and runs the hotpath and
-# shard_scaling benches, updating BENCH_hotpath.json in the repo root.
+# shard_scaling benches, updating crates/bench/BENCH_hotpath.json and
+# BENCH_shard.json.
 #
 # Usage:
 #   scripts/bench.sh                 # full run, records the "current" section
 #   scripts/bench.sh --label NAME    # record under a different section
 #   scripts/bench.sh --smoke         # 1-iteration-scale smoke pass (CI;
-#                                    # records the "smoke" section)
+#                                    # prints only, writes no file)
 #   scripts/bench.sh --only GROUP    # hotpath|shard: one scenario group
 #                                    # (any other value filters scenarios
 #                                    # without recording)
@@ -39,7 +40,8 @@ run() {
 run cargo build --release --offline --workspace
 
 # Hot-path throughput + allocations per update (writes BENCH_hotpath.json
-# and/or BENCH_shard.json depending on the group selection).
+# and/or BENCH_shard.json depending on the group selection; not in smoke
+# mode).
 hotpath_args=()
 [ -n "$label" ] && hotpath_args+=(--label "$label")
 [ -n "$smoke" ] && hotpath_args+=(--smoke)

@@ -29,8 +29,8 @@ run cargo test -q --offline -p acq --test spsc_ring || fail=1
 
 # Bench smoke (tier 2): the hot-path benchmark — including the sharded
 # runtime scenario group — on a tiny workload, to catch bench-harness rot
-# without paying full measurement time. Smoke numbers record under the
-# "smoke" section, never "current".
+# without paying full measurement time. The smoke run only prints: it
+# leaves every tracked file as it was.
 run scripts/bench.sh --smoke || fail=1
 
 # Benchmark correctness gate (tier 2): tiny runs of every perfbench

@@ -7,14 +7,15 @@
 //! update allocates **nothing** — these tests pin that property so it
 //! cannot silently regress, with no cache, with a plain cache (miss walks
 //! and profiled walks), and with a globally-consistent cache (separately
-//! computed maintenance).
+//! computed maintenance) on the §7.2 stream and on Figure 12's cyclic one.
 
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
 
 use acq::candidates::EnumerationConfig;
 use acq::engine::{AdaptiveJoinEngine, CacheMode, EngineConfig, ReoptInterval};
-use acq_gen::spec::chain3_default;
+use acq_gen::column::ColumnGen;
+use acq_gen::spec::{chain3_default, StreamSpec, Workload};
 use acq_mjoin::plan::{PipelineOrder, PlanOrders};
 use acq_stream::{QuerySchema, RelId, Update};
 use acq_telemetry::MetricValue;
@@ -166,13 +167,7 @@ fn steady_state_with_plain_cache_is_allocation_free() {
 /// Figure 12's plan with its globally-consistent (S⋈T)⋉R cache in ∆R's
 /// pipeline forced on: every S and T update computes the cache's
 /// segment-join delta separately.
-///
-/// The stream is the §7.2 one. Figure 12's cyclic stream would also make
-/// the relation stores allocate: when a tuple expires as an equal tuple
-/// arrives, the delete removes the newest instance, so the old one pins its
-/// slab page and the band grows by a page every 64 inserts.
-#[test]
-fn steady_state_with_global_cache_is_allocation_free() {
+fn global_cache_engine() -> AdaptiveJoinEngine {
     let p = |stream: u16, order: [u16; 2]| PipelineOrder {
         stream: RelId(stream),
         order: order.iter().map(|&r| RelId(r)).collect(),
@@ -187,13 +182,48 @@ fn steady_state_with_global_cache_is_allocation_free() {
         max_candidates: 6,
         ..Default::default()
     };
-    let mut engine = AdaptiveJoinEngine::with_config(QuerySchema::chain3(), orders, cfg);
+    let engine = AdaptiveJoinEngine::with_config(QuerySchema::chain3(), orders, cfg);
     let used = engine.used_caches();
     assert!(
         used.len() == 1 && used[0].contains('⋉'),
         "forced cache must be globally consistent, got {used:?}"
     );
+    engine
+}
+
+/// The global cache on the §7.2 stream, measured once its store is full.
+#[test]
+fn steady_state_with_global_cache_is_allocation_free() {
+    let mut engine = global_cache_engine();
     let updates = chain3_default(5, 100, 0xA110C).generate(STREAM);
     assert_steady_state_allocation_free(&mut engine, &updates, store_full);
+    assert!(engine.cache_memory_bytes() > 0, "global cache stayed empty");
+}
+
+/// The global cache on Figure 12's cyclic stream (domain 100, ∆T at 5×,
+/// no burst). Every expiry deletes a tuple while an equal one is live, so
+/// the relation stores stay allocation free only if the delete removes the
+/// oldest instance: removing the newest leaves the old one pinning its
+/// slab page, and the band grows by a page every 64 inserts. With 100 keys
+/// the 1024-bucket store never fills, so no store-full wait applies.
+#[test]
+fn steady_state_with_global_cache_on_cyclic_stream_is_allocation_free() {
+    let cyc = |mult: u64| ColumnGen::Seq {
+        multiplicity: mult,
+        stride: 1,
+        offset: 0,
+        domain: 100,
+    };
+    let workload = Workload::new(
+        vec![
+            StreamSpec::new(0, 1.0, 100, vec![cyc(1)]),
+            StreamSpec::new(1, 1.0, 100, vec![cyc(1), cyc(1)]),
+            StreamSpec::new(2, 5.0, 500, vec![cyc(5)]),
+        ],
+        0xA110C,
+    );
+    let mut engine = global_cache_engine();
+    let updates = workload.generate(STREAM);
+    assert_steady_state_allocation_free(&mut engine, &updates, |_| true);
     assert!(engine.cache_memory_bytes() > 0, "global cache stayed empty");
 }

@@ -159,7 +159,7 @@ proptest! {
         for shards in [1usize, 2, 4] {
             let mut probe = ShardedEngine::new(query.clone(), shards);
             assert_eq!(probe.broadcast_relations(), vec![RelId(2)]);
-            probe.process(&updates[0]);
+            probe.process_batch(&updates[..1]);
             check_sharded(&query, &updates, shards);
         }
     }
@@ -177,7 +177,7 @@ proptest! {
         let batch_groups = batched.process_batch_grouped(&updates);
         let mut incremental = ShardedEngine::new(query.clone(), 3);
         for (i, u) in updates.iter().enumerate() {
-            let got = canon_group(&incremental.process(u), n);
+            let got = canon_group(&incremental.process_batch(std::slice::from_ref(u)), n);
             let want = canon_group(&batch_groups[i], n);
             prop_assert_eq!(got, want);
         }
@@ -215,30 +215,27 @@ fn mixed_batch_sizes_cross_inline_threshold() {
     let updates = materialize(&steps, &query);
     let n = query.num_relations();
 
-    let shard_cfg = ShardConfig {
-        num_shards: 4,
-        partition_class: None,
+    let engine = || {
+        let shard_cfg = ShardConfig {
+            num_shards: 4,
+            partition_class: None,
+        };
+        ShardedEngine::with_config(
+            query.clone(),
+            PlanOrders::identity(&query),
+            fast_config(),
+            shard_cfg,
+        )
     };
-    let mut whole = ShardedEngine::with_config(
-        query.clone(),
-        PlanOrders::identity(&query),
-        fast_config(),
-        shard_cfg.clone(),
-    );
-    let want: Vec<_> = whole
+    let want: Vec<_> = engine()
         .process_batch_grouped(&updates)
         .iter()
         .map(|g| canon_group(g, n))
         .collect();
 
-    let mut chunked = ShardedEngine::with_config(
-        query.clone(),
-        PlanOrders::identity(&query),
-        fast_config(),
-        shard_cfg,
-    );
+    let (mut chunked, mut flat_engine) = (engine(), engine());
     let sizes = [1usize, 8, 31, 32, 33, 64, 3, 100];
-    let mut got = Vec::new();
+    let (mut got, mut flat) = (Vec::new(), Vec::new());
     let mut rest = &updates[..];
     let mut si = 0;
     while !rest.is_empty() {
@@ -247,9 +244,13 @@ fn mixed_batch_sizes_cross_inline_threshold() {
         for g in chunked.process_batch_grouped(&rest[..k]) {
             got.push(canon_group(&g, n));
         }
+        flat.extend(canon_group(&flat_engine.process_batch(&rest[..k]), n));
         rest = &rest[k..];
     }
     assert_eq!(got, want, "mixed chunk sizes diverged from one-batch run");
+    // The flat entry point: its deltas are the one-batch groups laid end
+    // to end.
+    assert_eq!(flat, want.concat(), "flat mixed-chunk output diverged");
 }
 
 #[test]
