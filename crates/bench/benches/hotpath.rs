@@ -15,23 +15,21 @@
 //!   `star4`, the Figure 9 star with mixed multiplicity), each through a
 //!   single [`AdaptiveJoinEngine`] and a 4-shard [`ShardedEngine`] at the
 //!   shard_scaling chunk size. Merged into `BENCH_hotpath.json`.
-//! * **shard** — the persistent-worker-runtime scenarios: chain3 at 1/2/4
-//!   shards with 1024-update batches (the streaming SPSC pipeline), star4
-//!   at 1/4 shards with 8-update batches (the inline small-batch path —
-//!   star4 because every relation routes; chain3's broadcast relation
-//!   duplicates its work on every shard, which would measure the query
-//!   shape, not the dispatch path), and the 4-shard scoped-thread
-//!   reference executor ([`acq::shard::reference::ScopedShardedEngine`])
-//!   for an A/B against the spawn-per-batch model it replaced. The
-//!   1-shard runs drive `ShardedEngine` with one shard — the
-//!   shard_scaling convention — so shard-count ratios isolate
-//!   routing/dispatch cost from the executor's fixed canonical-ordering
-//!   tax; the hotpath group's 1shard scenarios keep the plain-engine
-//!   floor on record. Merged into `BENCH_shard.json`.
+//! * **shard** — the sharded executor's scenarios: chain3 at 1/2/4 shards
+//!   with 1024-update batches (shards fanned out to scoped threads), and
+//!   star4 at 1/4 shards with 8-update batches (every shard run on the
+//!   caller — star4 because every relation routes; chain3's broadcast
+//!   relation duplicates its work on every shard, which would measure the
+//!   query shape, not the dispatch path). The 1-shard runs drive
+//!   `ShardedEngine` with one shard — the shard_scaling convention — so
+//!   shard-count ratios isolate routing/dispatch cost from the executor's
+//!   fixed canonical-ordering tax; the hotpath group's 1shard scenarios
+//!   keep the plain-engine floor on record. Merged into
+//!   `BENCH_shard.json`.
 //!
 //! Results are merged under a section named by `--label <name>` (default
-//! `current`; `baseline`/`scoped` sections are recorded once from the
-//! pre-optimization layouts), so the files carry the perf trajectory
+//! `current`; `BENCH_hotpath.json`'s `baseline` section was recorded once
+//! from the pre-PR-4 layout), so the files carry the perf trajectory
 //! across PRs. `--smoke` runs a 1-iteration-scale sanity pass for CI and
 //! only prints: it writes no file. `--only hotpath|shard` runs one group
 //! and writes only its file; any other `--only` substring filters
@@ -39,7 +37,6 @@
 //! of this invocation only, never stored sections.
 
 use acq::engine::{AdaptiveJoinEngine, EngineConfig, ReoptInterval, SelectionStrategy};
-use acq::shard::reference::ScopedShardedEngine;
 use acq::shard::{ShardConfig, ShardedEngine};
 use acq_bench::report::merge_label_section;
 use acq_gen::column::ColumnGen;
@@ -144,20 +141,17 @@ enum Mode {
     /// the absolute floor no sharded run can beat — the sharded executor
     /// additionally pays for routing and canonical output order).
     Engine,
-    /// `ShardedEngine` on the persistent worker runtime, at any shard
-    /// count — 1-shard runs measure the executor's own dispatch overhead,
-    /// the same convention as the shard_scaling bench.
-    Runtime,
-    /// The pre-runtime scoped-thread reference executor.
-    Scoped,
+    /// `ShardedEngine` at any shard count — 1-shard runs measure the
+    /// executor's own dispatch overhead, the same convention as the
+    /// shard_scaling bench.
+    Sharded,
 }
 
 enum Exec {
     // Boxed to keep the variants comparable in size (the engine is a large
-    // flat struct; the sharded executors are mostly thread/ring handles).
+    // flat struct; the sharded executor is mostly vectors of shards).
     Single(Box<AdaptiveJoinEngine>),
     Sharded(Box<ShardedEngine>),
-    Scoped(Box<ScopedShardedEngine>),
 }
 
 impl Exec {
@@ -170,13 +164,7 @@ impl Exec {
             Mode::Engine => Exec::Single(Box::new(
                 AdaptiveJoinEngine::with_config(q.clone(), PlanOrders::identity(q), config()),
             )),
-            Mode::Runtime => Exec::Sharded(Box::new(ShardedEngine::with_config(
-                q.clone(),
-                PlanOrders::identity(q),
-                config(),
-                shard_cfg,
-            ))),
-            Mode::Scoped => Exec::Scoped(Box::new(ScopedShardedEngine::with_config(
+            Mode::Sharded => Exec::Sharded(Box::new(ShardedEngine::with_config(
                 q.clone(),
                 PlanOrders::identity(q),
                 config(),
@@ -197,7 +185,6 @@ impl Exec {
                     out.len() as u64
                 }
                 Exec::Sharded(e) => e.process_batch(chunk).len() as u64,
-                Exec::Scoped(e) => e.process_batch(chunk).len() as u64,
             };
         }
         deltas
@@ -339,15 +326,14 @@ fn main() {
     let (total, warmup) = if smoke { (3_000, 1_000) } else { (400_000, 50_000) };
     let scenarios: Vec<Scenario> = vec![
         sc("hotpath", "chain3/1shard", chain3_workload, 1, Mode::Engine, CHUNK),
-        sc("hotpath", "chain3/4shard", chain3_workload, 4, Mode::Runtime, CHUNK),
+        sc("hotpath", "chain3/4shard", chain3_workload, 4, Mode::Sharded, CHUNK),
         sc("hotpath", "star4/1shard", star4_workload, 1, Mode::Engine, CHUNK),
-        sc("hotpath", "star4/4shard", star4_workload, 4, Mode::Runtime, CHUNK),
-        sc("shard", "chain3/1shard/b1024", chain3_workload, 1, Mode::Runtime, 1024),
-        sc("shard", "chain3/2shard/b1024", chain3_workload, 2, Mode::Runtime, 1024),
-        sc("shard", "chain3/4shard/b1024", chain3_workload, 4, Mode::Runtime, 1024),
-        sc("shard", "star4/1shard/b8", star4_workload, 1, Mode::Runtime, 8),
-        sc("shard", "star4/4shard/b8", star4_workload, 4, Mode::Runtime, 8),
-        sc("shard", "chain3/4shard/b1024/scoped", chain3_workload, 4, Mode::Scoped, 1024),
+        sc("hotpath", "star4/4shard", star4_workload, 4, Mode::Sharded, CHUNK),
+        sc("shard", "chain3/1shard/b1024", chain3_workload, 1, Mode::Sharded, 1024),
+        sc("shard", "chain3/2shard/b1024", chain3_workload, 2, Mode::Sharded, 1024),
+        sc("shard", "chain3/4shard/b1024", chain3_workload, 4, Mode::Sharded, 1024),
+        sc("shard", "star4/1shard/b8", star4_workload, 1, Mode::Sharded, 8),
+        sc("shard", "star4/4shard/b8", star4_workload, 4, Mode::Sharded, 8),
     ];
 
     println!(
@@ -377,11 +363,9 @@ fn main() {
         results.push((s.group, s.name.to_string(), m));
     }
     // Headlines compare scenarios of this run only: the sharded executor's
-    // routing and merge tax over the plain engine, spawn-free batches vs
-    // per-batch scoped spawns, and the small-batch inline criterion
-    // (4shard/b8 must be ≤ 1x).
+    // routing and merge tax over the plain engine, and the small-batch
+    // inline criterion (4shard/b8 must be ≤ 1x).
     headline(&results, "chain3 4shard vs 1shard", "chain3/4shard", "chain3/1shard");
-    headline(&results, "4shard/b1024 scoped vs persistent", "chain3/4shard/b1024/scoped", "chain3/4shard/b1024");
     headline(&results, "4shard/b8 vs 1shard/b8", "star4/4shard/b8", "star4/1shard/b8");
     // Smoke numbers are not measurements, and a scenario filter leaves a
     // group incomplete: neither is written.

@@ -14,9 +14,10 @@
 //! (`ClockAggregate::max_ns`) — since shards run concurrently and the
 //! merge completes when the last one does. Speedup is therefore
 //! `single-engine virtual time / critical-path virtual time`, which equals
-//! shard count divided by load imbalance. Host wall-clock seconds are also
-//! reported for reference, but they measure the CI container (often a
-//! single core), not the executor.
+//! shard count divided by load imbalance — a **modeled** speedup. Host
+//! wall-clock seconds and the measured wall speedup
+//! (`single-engine wall / sharded wall`) stand next to it: they measure
+//! the executor on the host at hand, whose core count caps them.
 //!
 //! Before measuring, the merged sharded output is checked bit-identical to
 //! the single-engine output (both in canonical per-update group order) on a
@@ -204,10 +205,12 @@ fn main() {
     let mut wall = Vec::new();
     let mut rates = Vec::new();
     let mut speedups = Vec::new();
+    let mut wall_speedups = Vec::new();
     let mut imbalances = Vec::new();
     for &s in &shard_counts {
         let m = run_sharded(&q, &updates, s);
         let speedup = m.rate / base.rate;
+        let wall_speedup = base.host_wall_secs / m.host_wall_secs;
         // Cross-shard merged telemetry for the headline 4-shard point; the
         // single-engine snapshot rides along for counter comparison (the
         // star query routes every update, so counter totals must match).
@@ -221,7 +224,8 @@ fn main() {
         }
         println!(
             "{s} shards: critical path {:.2} virtual s, total work {:.2} virtual s \
-             ({:.2} host wall s) → {:.0} t/s ({speedup:.2}x, imbalance {:.2})",
+             ({:.2} host wall s) → {:.0} t/s (modeled {speedup:.2}x, wall \
+             {wall_speedup:.2}x, imbalance {:.2})",
             m.elapsed_secs, m.total_virtual_secs, m.host_wall_secs, m.rate, m.imbalance
         );
         elapsed.push(m.elapsed_secs);
@@ -229,14 +233,18 @@ fn main() {
         wall.push(m.host_wall_secs);
         rates.push(m.rate);
         speedups.push(speedup);
+        wall_speedups.push(wall_speedup);
         imbalances.push(m.imbalance);
     }
 
     let four = shard_counts.iter().position(|&s| s == 4).unwrap();
     if speedups[four] >= 2.0 {
-        println!("PASS: 4-shard speedup {:.2}x >= 2x", speedups[four]);
+        println!("PASS: 4-shard modeled speedup {:.2}x >= 2x", speedups[four]);
     } else {
-        eprintln!("WARN: 4-shard speedup {:.2}x < 2x target", speedups[four]);
+        eprintln!(
+            "WARN: 4-shard modeled speedup {:.2}x < 2x target",
+            speedups[four]
+        );
     }
 
     let mut t = Table::new(
@@ -248,7 +256,8 @@ fn main() {
     t.push_series("total work (virtual s)", total_work);
     t.push_series("host wall secs", wall);
     t.push_series("throughput (t/s)", rates);
-    t.push_series("speedup vs single", speedups);
+    t.push_series("modeled speedup (critical path)", speedups);
+    t.push_series("wall speedup vs single", wall_speedups);
     t.push_series("imbalance (max/mean)", imbalances);
     print!("{}", t.render());
     if let Some(p) = write_csv(&t, "shard_scaling") {

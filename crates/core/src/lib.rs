@@ -63,7 +63,6 @@ pub mod cost;
 pub mod engine;
 pub mod memory;
 pub mod profiler;
-pub mod runtime;
 pub mod select;
 pub mod shard;
 pub mod stream_join;

@@ -4,8 +4,7 @@
 //! every update, across all streams, is processed to completion in global
 //! arrival order. [`ShardedEngine`] scales that loop across cores by
 //! **partitioning the update stream on one join-attribute equivalence
-//! class** over `N` independent [`AdaptiveJoinEngine`] shards, executed by
-//! the persistent worker runtime ([`crate::runtime`]):
+//! class** over `N` independent [`AdaptiveJoinEngine`] shards:
 //!
 //! * A **partition class** is chosen (automatically: the equivalence class
 //!   whose member attributes span the most relations). Every relation with
@@ -22,13 +21,11 @@
 //!   `hash(v) % N`, this evens out key-popularity skew instead of freezing
 //!   it into the shard assignment.
 //! * Each shard runs the full adaptive machinery (profiler, re-optimizer,
-//!   cache stores) over its substream on a **long-lived worker thread**
-//!   that owns the shard's engine; batches stream through lock-free SPSC
-//!   rings and results merge incrementally while routing is still in
-//!   progress (see [`crate::runtime`] for the pipeline and its safety
-//!   protocol). Batches under `INLINE_BATCH` updates run inline on the
-//!   caller — thread hand-off costs more than it buys for a handful of
-//!   updates.
+//!   cache stores) over its substream. A batch is routed into per-shard
+//!   index lists, then the shards run: on `std::thread::scope` threads
+//!   when the batch has at least `INLINE_BATCH` updates, each thread
+//!   taking a contiguous chunk of shards and the caller running the first
+//!   chunk itself; smaller batches run every shard on the caller.
 //! * Output deltas are merged back into **global arrival order** by batch
 //!   index; within one update's delta group the results are put in
 //!   canonical row order ([`canonicalize_group`]), making the merged
@@ -47,25 +44,27 @@
 //! `v` remains in any shard — so a value reassigned after eviction starts
 //! from empty state everywhere.
 //!
-//! **Failure containment.** A panic inside a shard worker no longer aborts
-//! the process: the worker catches it, poisons only its own shard, and the
-//! engine surfaces a typed [`ShardPanic`] (shard id + last telemetry
-//! snapshot) from [`ShardedEngine::try_process_batch_grouped`] while the
-//! remaining shards drain cleanly and stay inspectable.
+//! **Failure containment.** Every shard run, on the caller or on a scoped
+//! thread, executes under `catch_unwind`: a panic poisons only that shard,
+//! and the engine surfaces a typed [`ShardPanic`] (shard id + last
+//! telemetry snapshot) from [`ShardedEngine::try_process_batch_grouped`]
+//! while the remaining shards stay inspectable.
 
 use crate::engine::{AdaptiveJoinEngine, EngineConfig};
-use crate::runtime::{Dispatch, ShardRuntime};
-pub use crate::runtime::ShardPanic;
 use acq_mjoin::clock::ClockAggregate;
 use acq_mjoin::plan::PlanOrders;
 use acq_stream::{AttrRef, ColId, Composite, EquivClassId, Op, QuerySchema, RelId, Update};
 use acq_telemetry::{FieldValue, TelemetrySnapshot};
-use std::collections::HashMap;
+use std::collections::{HashMap, VecDeque};
+use std::fmt;
 use std::hash::BuildHasherDefault;
+use std::panic::{catch_unwind, AssertUnwindSafe};
 
-/// Below this batch size the shards run inline on the calling thread —
-/// thread hand-off costs more than it buys for a handful of updates.
-const INLINE_BATCH: usize = 32;
+/// Batches shorter than this run every shard on the calling thread. One
+/// scoped spawn + join measured 27–39 µs on a 2-vCPU Xeon host: about 2%
+/// of a 1,024-update chain3 batch, but as long as a 32-update batch's own
+/// work.
+const INLINE_BATCH: usize = 256;
 
 /// Sharding configuration.
 #[derive(Debug, Clone)]
@@ -322,16 +321,135 @@ fn cmp_canonical(a: &Composite, b: &Composite, num_relations: usize) -> std::cmp
     std::cmp::Ordering::Equal
 }
 
+/// A shard run that panicked, poisoning its shard.
+///
+/// Returned by [`ShardedEngine::try_process_batch_grouped`]: the panic
+/// payload is captured as a message, together with the poisoned shard's
+/// last obtainable telemetry snapshot. Other shards remain healthy and
+/// inspectable (their engines, counters, and telemetry stay accessible),
+/// but further batch processing is refused because the poisoned shard's
+/// state is lost.
+pub struct ShardPanic {
+    /// Index of the shard whose run panicked.
+    pub shard: usize,
+    /// Rendered panic payload.
+    pub message: String,
+    /// Telemetry captured from the poisoned shard right after the panic
+    /// (empty if the engine was too damaged to snapshot).
+    pub telemetry: TelemetrySnapshot,
+}
+
+impl fmt::Debug for ShardPanic {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        f.debug_struct("ShardPanic")
+            .field("shard", &self.shard)
+            .field("message", &self.message)
+            .finish_non_exhaustive()
+    }
+}
+
+impl fmt::Display for ShardPanic {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        write!(f, "shard {} panicked: {}", self.shard, self.message)
+    }
+}
+
+impl std::error::Error for ShardPanic {}
+
+/// One shard: its engine plus the buffers one batch run fills.
+#[derive(Debug)]
+struct Shard {
+    engine: AdaptiveJoinEngine,
+    /// Batch indices routed here, ascending.
+    indices: Vec<u32>,
+    /// Deltas of those updates in batch order, `counts[k]` of them for
+    /// `indices[k]`; the merge drains them from the front.
+    deltas: VecDeque<(Op, Composite)>,
+    counts: Vec<usize>,
+    /// Merge cursor into `indices`.
+    next: usize,
+    /// Panic message and telemetry of a run that panicked: the engine's
+    /// state is lost and the shard refuses further work.
+    failure: Option<(String, TelemetrySnapshot)>,
+    /// Test-only: panic at the start of the next run.
+    #[cfg(any(test, feature = "fault-injection"))]
+    inject_panic: bool,
+}
+
+impl Shard {
+    fn new(engine: AdaptiveJoinEngine) -> Shard {
+        Shard {
+            engine,
+            indices: Vec::new(),
+            deltas: VecDeque::new(),
+            counts: Vec::new(),
+            next: 0,
+            failure: None,
+            #[cfg(any(test, feature = "fault-injection"))]
+            inject_panic: false,
+        }
+    }
+
+    /// Process the routed updates under `catch_unwind`; a panic poisons
+    /// the shard and leaves no deltas behind.
+    fn run(&mut self, updates: &[Update]) {
+        let mut sink = Vec::from(std::mem::take(&mut self.deltas));
+        sink.clear();
+        self.counts.clear();
+        self.next = 0;
+        #[cfg(any(test, feature = "fault-injection"))]
+        let inject = std::mem::take(&mut self.inject_panic);
+        let (engine, counts) = (&mut self.engine, &mut self.counts);
+        let run = catch_unwind(AssertUnwindSafe(|| {
+            #[cfg(any(test, feature = "fault-injection"))]
+            if inject {
+                panic!("injected shard panic");
+            }
+            for &gi in &self.indices {
+                let before = sink.len();
+                engine.process_into(&updates[gi as usize], &mut sink);
+                counts.push(sink.len() - before);
+            }
+        }));
+        if let Err(payload) = run {
+            sink.clear();
+            self.counts.clear();
+            self.poison(payload);
+        }
+        self.deltas = sink.into();
+    }
+
+    /// Record a caught panic and poison the shard.
+    fn poison(&mut self, payload: Box<dyn std::any::Any + Send>) {
+        let message = if let Some(s) = payload.downcast_ref::<&str>() {
+            (*s).to_string()
+        } else if let Some(s) = payload.downcast_ref::<String>() {
+            s.clone()
+        } else {
+            "non-string panic payload".to_string()
+        };
+        // The engine is memory-safe but logically suspect after a panic;
+        // snapshotting is best-effort.
+        let telemetry = catch_unwind(AssertUnwindSafe(|| self.engine.telemetry_snapshot()))
+            .unwrap_or_else(|_| TelemetrySnapshot::new());
+        self.failure = Some((message, telemetry));
+    }
+}
+
 /// A partitioned parallel A-Caching executor: `N` independent
-/// [`AdaptiveJoinEngine`]s on persistent worker threads behind a
-/// deterministic balancing router and streaming merge.
+/// [`AdaptiveJoinEngine`]s behind a deterministic balancing router and
+/// canonical merge, run on scoped threads for large batches.
 #[derive(Debug)]
 pub struct ShardedEngine {
     query: QuerySchema,
-    runtime: ShardRuntime,
+    shards: Vec<Shard>,
     router: Router,
     partition_class: EquivClassId,
     routing: RoutingStats,
+    /// Threads a large batch runs on, the caller's included:
+    /// `min(num_shards, available_parallelism())`, read once here because
+    /// each read can cost a cgroup lookup.
+    threads: usize,
 }
 
 impl ShardedEngine {
@@ -351,8 +469,7 @@ impl ShardedEngine {
 
     /// Build with explicit orders, per-shard engine configuration, and
     /// sharding configuration. Every shard gets an identical engine; they
-    /// diverge only through the substreams they see. With more than one
-    /// shard this spawns the persistent worker threads (reaped on drop).
+    /// diverge only through the substreams they see.
     pub fn with_config(
         query: QuerySchema,
         orders: PlanOrders,
@@ -369,15 +486,23 @@ impl ShardedEngine {
             router.part_col.iter().any(Option::is_some),
             "partition class covers no relation"
         );
-        let engines = (0..shard_cfg.num_shards)
-            .map(|_| AdaptiveJoinEngine::with_config(query.clone(), orders.clone(), config.clone()))
+        let shards = (0..shard_cfg.num_shards)
+            .map(|_| {
+                Shard::new(AdaptiveJoinEngine::with_config(
+                    query.clone(),
+                    orders.clone(),
+                    config.clone(),
+                ))
+            })
             .collect();
+        let cores = std::thread::available_parallelism().map_or(1, |n| n.get());
         ShardedEngine {
             query,
-            runtime: ShardRuntime::new(engines),
+            shards,
             router,
             partition_class,
             routing: RoutingStats::default(),
+            threads: shard_cfg.num_shards.min(cores),
         }
     }
 
@@ -386,7 +511,7 @@ impl ShardedEngine {
 
     /// Number of shards.
     pub fn num_shards(&self) -> usize {
-        self.runtime.num_shards()
+        self.shards.len()
     }
 
     /// The equivalence class the stream is partitioned on.
@@ -410,37 +535,43 @@ impl ShardedEngine {
         self.routing
     }
 
-    /// Run `f` against shard `i`'s engine. Engines live behind the worker
-    /// runtime's per-shard locks (each is normally owned by its worker
-    /// thread), so access is scoped to a closure instead of a borrow.
+    /// Run `f` against shard `i`'s engine.
     pub fn with_shard<R>(&self, i: usize, f: impl FnOnce(&AdaptiveJoinEngine) -> R) -> R {
-        f(&self.runtime.engine(i))
+        f(&self.shards[i].engine)
     }
 
-    /// Indices of shards poisoned by a worker panic (normally empty).
+    /// Indices of shards poisoned by a panic (normally empty).
     pub fn poisoned_shards(&self) -> Vec<usize> {
-        self.runtime.poisoned_shards()
+        (0..self.num_shards())
+            .filter(|&i| self.shards[i].failure.is_some())
+            .collect()
     }
 
-    /// Test-only: make shard `i`'s worker panic on its next message,
-    /// poisoning that shard (requires `num_shards > 1`). Exercises the
+    /// The typed failure of the first poisoned shard, if any.
+    fn first_failure(&self) -> Option<ShardPanic> {
+        self.shards.iter().enumerate().find_map(|(i, s)| {
+            let (message, telemetry) = s.failure.as_ref()?;
+            Some(ShardPanic {
+                shard: i,
+                message: message.clone(),
+                telemetry: telemetry.clone(),
+            })
+        })
+    }
+
+    /// Test-only: make shard `i` panic at the start of its next run,
+    /// inline or threaded, poisoning that shard. Exercises the
     /// graceful-degradation path surfaced by
     /// [`ShardedEngine::try_process_batch_grouped`].
     #[cfg(any(test, feature = "fault-injection"))]
     pub fn inject_worker_panic(&mut self, i: usize) {
-        assert!(
-            self.runtime.is_threaded(),
-            "worker panic injection needs a threaded runtime"
-        );
-        self.runtime.inject_panic(i);
+        self.shards[i].inject_panic = true;
     }
 
     /// Aggregated virtual clocks: total work across shards, critical path,
     /// balance.
     pub fn clock_aggregate(&self) -> ClockAggregate {
-        ClockAggregate::from_ns(
-            (0..self.num_shards()).map(|i| self.runtime.engine(i).core().now_ns()),
-        )
+        ClockAggregate::from_ns(self.shards.iter().map(|s| s.engine.core().now_ns()))
     }
 
     /// The canonical cross-shard telemetry merge, mirroring the delta-run
@@ -451,37 +582,16 @@ impl ShardedEngine {
     /// quantities stay weighted averages), and events interleave in
     /// virtual-time order. Counter totals are therefore invariant to the
     /// shard count for routed-only workloads. Routing counters and the
-    /// shard count ride along as `routing.*` / `shard.count`, and the
-    /// worker runtime contributes `shard.queue_depth` (per shard),
-    /// `shard.parked_ratio`, and `merge.lag` (see OBSERVABILITY.md).
+    /// shard count ride along as `routing.*` / `shard.count` (see
+    /// OBSERVABILITY.md).
     pub fn telemetry_snapshot(&self) -> TelemetrySnapshot {
         let mut merged = TelemetrySnapshot::new();
-        let (mut parks, mut runs) = (0u64, 0u64);
-        for i in 0..self.num_shards() {
-            let mut part = self.runtime.engine(i).telemetry_snapshot();
+        for (i, s) in self.shards.iter().enumerate() {
+            let mut part = s.engine.telemetry_snapshot();
             part.tag_events("shard", FieldValue::U64(i as u64));
             merged.merge(&part);
-            merged.gauge(
-                "shard.queue_depth",
-                &[("shard", &i.to_string())],
-                self.runtime.queue_depth(i) as f64,
-            );
-            let (p, r) = self.runtime.park_stats(i);
-            parks += p;
-            runs += r;
         }
         merged.gauge("shard.count", &[], self.num_shards() as f64);
-        let wakeups = parks + runs;
-        merged.gauge(
-            "shard.parked_ratio",
-            &[],
-            if wakeups == 0 {
-                0.0
-            } else {
-                parks as f64 / wakeups as f64
-            },
-        );
-        merged.gauge("merge.lag", &[], self.runtime.merge_lag());
         merged.counter("routing.routed", &[], self.routing.routed);
         merged.counter("routing.broadcast", &[], self.routing.broadcast);
         merged
@@ -489,18 +599,18 @@ impl ShardedEngine {
 
     /// Run [`AdaptiveJoinEngine::check_structural_invariants`] on every
     /// shard plus cross-shard sanity checks (routing counters consistent
-    /// with the configured topology, no poisoned workers). Violations are
+    /// with the configured topology, no poisoned shards). Violations are
     /// prefixed with the offending shard index; empty = healthy.
     /// Diagnostic use only.
     pub fn check_invariants(&self) -> Vec<String> {
         let mut violations = Vec::new();
-        for i in 0..self.num_shards() {
-            for v in self.runtime.engine(i).check_structural_invariants() {
+        for (i, s) in self.shards.iter().enumerate() {
+            for v in s.engine.check_structural_invariants() {
                 violations.push(format!("shard {i}: {v}"));
             }
         }
-        for i in self.runtime.poisoned_shards() {
-            violations.push(format!("shard {i}: worker poisoned by panic"));
+        for i in self.poisoned_shards() {
+            violations.push(format!("shard {i}: poisoned by panic"));
         }
         if self.broadcast_relations().is_empty() && self.routing.broadcast > 0 {
             violations.push(format!(
@@ -520,14 +630,8 @@ impl ShardedEngine {
     /// poisoned — use [`ShardedEngine::try_process_batch_grouped`] for
     /// typed failure handling.
     pub fn process_batch(&mut self, updates: &[Update]) -> Vec<(Op, Composite)> {
-        if self.runs_inline(updates) {
-            return self.run_inline(updates, None).unwrap_or_else(|e| panic!("{e}"));
-        }
-        let mut out = Vec::new();
-        for group in self.process_batch_grouped(updates) {
-            out.extend(group);
-        }
-        out
+        self.run_batch(updates, None)
+            .unwrap_or_else(|e| panic!("{e}"))
     }
 
     /// Like [`ShardedEngine::process_batch`] but keeps per-update grouping:
@@ -539,115 +643,113 @@ impl ShardedEngine {
             .unwrap_or_else(|e| panic!("{e}"))
     }
 
-    /// Fallible [`ShardedEngine::process_batch_grouped`]. Routes the batch
-    /// (updating the balancing directory), then either runs it inline
-    /// (small batches / single shard) or streams it through the persistent
-    /// worker runtime. On `Err` the failing shard
-    /// is poisoned permanently; healthy shards remain drained and
+    /// Fallible [`ShardedEngine::process_batch_grouped`]. On `Err` the
+    /// failing shard is poisoned permanently; healthy shards remain
     /// inspectable, but further processing is refused because the poisoned
     /// shard's substream state is lost.
     pub fn try_process_batch_grouped(
         &mut self,
         updates: &[Update],
     ) -> Result<Vec<Vec<(Op, Composite)>>, ShardPanic> {
-        if self.runs_inline(updates) {
-            let mut ends = Vec::with_capacity(updates.len());
-            let mut deltas = self.run_inline(updates, Some(&mut ends))?.into_iter();
-            let mut start = 0;
-            return Ok(ends
-                .into_iter()
-                .map(|end| {
-                    let group = deltas.by_ref().take(end - start).collect();
-                    start = end;
-                    group
-                })
-                .collect());
-        }
-        self.begin_batch()?;
-        let mut out: Vec<Vec<(Op, Composite)>> = vec![Vec::new(); updates.len()];
-        let router = &mut self.router;
-        let routing = &mut self.routing;
-        self.runtime.run_batch(
-            updates,
-            |u| match router.route(u) {
-                Route::Shard(s) => {
-                    routing.routed += 1;
-                    Dispatch::Shard(s)
-                }
-                Route::Broadcast => {
-                    routing.broadcast += 1;
-                    Dispatch::All
-                }
-            },
-            &mut out,
-        )?;
-        let n_rels = self.query.num_relations();
-        for group in &mut out {
-            canonicalize_group(group, n_rels);
-        }
-        Ok(out)
+        let mut ends = Vec::with_capacity(updates.len());
+        let mut deltas = self.run_batch(updates, Some(&mut ends))?.into_iter();
+        let mut start = 0;
+        Ok(ends
+            .into_iter()
+            .map(|end| {
+                let group = deltas.by_ref().take(end - start).collect();
+                start = end;
+                group
+            })
+            .collect())
     }
 
-    /// Small batches, and every batch without worker threads, run on the
-    /// calling thread.
-    fn runs_inline(&self, updates: &[Update]) -> bool {
-        !self.runtime.is_threaded() || updates.len() < INLINE_BATCH
-    }
-
-    /// Pre-flight for a batch: refuse it if a shard is poisoned, and
-    /// refresh the router's load view when due.
-    fn begin_batch(&mut self) -> Result<(), ShardPanic> {
-        if let Some(failure) = self.runtime.first_failure() {
-            return Err(failure);
-        }
-        let n_shards = self.num_shards();
-        if n_shards > 1 && self.router.needs_refresh() {
-            let runtime = &self.runtime;
-            self.router
-                .refresh_load((0..n_shards).map(|i| runtime.engine(i).core().now_ns()));
-        }
-        Ok(())
-    }
-
-    /// The inline path: route and process in arrival order on the caller
-    /// thread. Every delta lands in one flat vector and each update's span
-    /// is canonicalized in place, so no per-update group vector is built;
-    /// when `ends` is given, the end offset of each update's span is pushed
-    /// to it.
-    fn run_inline(
+    /// The one batch path: refuse the batch if a shard is poisoned,
+    /// refresh the router's load view when due, route, run the shards,
+    /// and merge. Every delta lands in one flat vector with each update's
+    /// span canonicalized in place; when `ends` is given, the end offset
+    /// of each update's span is pushed to it.
+    fn run_batch(
         &mut self,
         updates: &[Update],
-        mut ends: Option<&mut Vec<usize>>,
+        ends: Option<&mut Vec<usize>>,
     ) -> Result<Vec<(Op, Composite)>, ShardPanic> {
-        self.begin_batch()?;
-        let n_rels = self.query.num_relations();
-        let mut out: Vec<(Op, Composite)> = Vec::new();
-        let mut start = 0;
-        // Lock every shard engine once for the whole batch — the workers
-        // only touch engines through jobs, and the inline path sends none.
-        let mut engines: Vec<_> = (0..self.num_shards())
-            .map(|i| self.runtime.engine(i))
-            .collect();
-        for u in updates {
+        if let Some(failure) = self.first_failure() {
+            return Err(failure);
+        }
+        if self.num_shards() > 1 && self.router.needs_refresh() {
+            self.router
+                .refresh_load(self.shards.iter().map(|s| s.engine.core().now_ns()));
+        }
+        self.route(updates);
+        self.run_shards(updates);
+        if let Some(failure) = self.first_failure() {
+            return Err(failure);
+        }
+        Ok(self.merge(updates.len(), ends))
+    }
+
+    /// Route the batch into the per-shard index lists.
+    fn route(&mut self, updates: &[Update]) {
+        for s in &mut self.shards {
+            s.indices.clear();
+        }
+        for (gi, u) in updates.iter().enumerate() {
             match self.router.route(u) {
                 Route::Shard(s) => {
                     self.routing.routed += 1;
-                    engines[s].process_into(u, &mut out);
+                    self.shards[s].indices.push(gi as u32);
                 }
                 Route::Broadcast => {
                     self.routing.broadcast += 1;
-                    for e in engines.iter_mut() {
-                        e.process_into(u, &mut out);
+                    for s in &mut self.shards {
+                        s.indices.push(gi as u32);
                     }
                 }
             }
+        }
+    }
+
+    /// Run every shard: on the caller for small batches, otherwise on
+    /// `threads` scoped threads, each taking a contiguous chunk of shards,
+    /// with the caller running the first chunk.
+    fn run_shards(&mut self, updates: &[Update]) {
+        if self.threads == 1 || updates.len() < INLINE_BATCH {
+            for s in &mut self.shards {
+                s.run(updates);
+            }
+            return;
+        }
+        let chunk = self.shards.len().div_ceil(self.threads);
+        std::thread::scope(|scope| {
+            let mut chunks = self.shards.chunks_mut(chunk);
+            let own = chunks.next().expect("at least one shard");
+            for rest in chunks {
+                scope.spawn(move || rest.iter_mut().for_each(|s| s.run(updates)));
+            }
+            own.iter_mut().for_each(|s| s.run(updates));
+        });
+    }
+
+    /// Merge the per-shard delta buffers by batch index into one flat
+    /// vector, canonicalizing each update's span in place.
+    fn merge(&mut self, len: usize, mut ends: Option<&mut Vec<usize>>) -> Vec<(Op, Composite)> {
+        let n_rels = self.query.num_relations();
+        let mut out = Vec::with_capacity(self.shards.iter().map(|s| s.deltas.len()).sum());
+        for gi in 0..len as u32 {
+            let start = out.len();
+            for s in &mut self.shards {
+                if s.indices.get(s.next) == Some(&gi) {
+                    out.extend(s.deltas.drain(..s.counts[s.next]));
+                    s.next += 1;
+                }
+            }
             canonicalize_group(&mut out[start..], n_rels);
-            start = out.len();
             if let Some(ends) = ends.as_deref_mut() {
-                ends.push(start);
+                ends.push(out.len());
             }
         }
-        Ok(out)
+        out
     }
 }
 
@@ -656,14 +758,15 @@ impl ShardedEngine {
 
 #[cfg(any(test, feature = "reference-exec"))]
 pub mod reference {
-    //! The pre-runtime sharded executor, kept as a differential reference.
+    //! The PR 1 sharded executor, kept as a differential reference.
     //!
     //! [`ScopedShardedEngine`] reproduces the PR 1 execution model exactly:
-    //! stateless `mix(hash(v)) % N` routing, a fresh `std::thread::scope`
-    //! spawn + join per batch, and a barrier k-way merge of per-shard runs.
-    //! The harness sweeps it against the persistent runtime to assert the
-    //! canonical delta streams stayed bit-identical across the rework.
-    //! Compiled only for tests and the `reference-exec` feature.
+    //! stateless `mix(hash(v)) % N` routing, one `std::thread::scope`
+    //! spawn + join per shard per batch, and a barrier k-way merge of
+    //! per-shard runs. The harness sweeps it against [`ShardedEngine`] to
+    //! check that the balancing router and the flat canonical merge emit
+    //! the same canonical delta streams. Compiled only for tests and the
+    //! `reference-exec` feature.
 
     use super::*;
     use acq_stream::merge_ordered_runs;
@@ -688,7 +791,7 @@ pub mod reference {
     }
 
     /// Scoped-thread sharded executor with stateless hash routing — the
-    /// exact pre-persistent-runtime behavior, for differential testing.
+    /// exact PR 1 behavior, for differential testing.
     #[derive(Debug)]
     pub struct ScopedShardedEngine {
         query: QuerySchema,
@@ -940,16 +1043,20 @@ mod tests {
         };
         // Identical across repeated runs *and* shard counts — the per-group
         // canonical order makes the merged output a pure function of input.
+        // 3 and 8 shards exceed the thread count and split into uneven
+        // chunks.
         let base = run(2);
         assert_eq!(base, run(2));
-        assert_eq!(base, run(4));
+        for shards in [1, 3, 4, 8] {
+            assert_eq!(base, run(shards), "diverged at {shards} shards");
+        }
     }
 
     #[test]
     fn matches_scoped_thread_reference() {
-        // The persistent runtime (balanced routing, streaming merge) must
-        // emit the same canonical delta stream as the PR 1 scoped-thread
-        // executor it replaced, at every shard count.
+        // Balanced routing and the flat canonical merge must emit the same
+        // canonical delta stream as the PR 1 executor (stateless routing,
+        // k-way merge), at every shard count.
         let q = QuerySchema::star(4);
         let updates = workload(&q, 23, 500);
         let mut reference = ScopedShardedEngine::new(q.clone(), 4);
@@ -1036,38 +1143,70 @@ mod tests {
     #[test]
     fn worker_panic_poisons_only_its_shard() {
         let q = QuerySchema::star(4);
-        let updates = workload(&q, 13, 200);
-        let mut e = ShardedEngine::new(q.clone(), 4);
-        e.process_batch(&updates[..100]);
-        e.inject_worker_panic(1);
-        // The batch (or the pre-flight check) must surface the typed error.
-        let err = e
-            .try_process_batch_grouped(&updates[100..])
-            .expect_err("poisoned shard must fail the batch");
-        assert_eq!(err.shard, 1);
-        assert!(err.message.contains("injected worker panic"), "{err}");
-        assert_eq!(e.poisoned_shards(), vec![1]);
-        // Healthy shards stay inspectable and drained; further processing
-        // keeps failing with the same typed error.
-        for i in [0usize, 2, 3] {
-            let _ = e.with_shard(i, |s| s.counters());
+        let updates = workload(&q, 13, 600);
+        // (shards, shard to panic, batch length): shard 0 runs on the
+        // caller's thread, other shards on scoped threads once a batch
+        // reaches `INLINE_BATCH`.
+        for (shards, victim, len) in [(4, 1, 500), (4, 0, 500), (4, 2, 8), (1, 0, 8), (2, 0, 300)] {
+            let case = format!("{shards} shards, shard {victim}, batch of {len}");
+            let mut e = ShardedEngine::new(q.clone(), shards);
+            e.process_batch(&updates[..100]);
+            e.inject_worker_panic(victim);
+            let err = e
+                .try_process_batch_grouped(&updates[100..100 + len])
+                .expect_err("poisoned shard must fail the batch");
+            assert_eq!(err.shard, victim, "{case}");
+            assert!(err.message.contains("injected shard panic"), "{case}: {err}");
+            assert_eq!(e.poisoned_shards(), vec![victim], "{case}");
+            // Healthy shards stay inspectable; further processing keeps
+            // failing with the same typed error.
+            for i in (0..shards).filter(|&i| i != victim) {
+                let _ = e.with_shard(i, |s| s.counters());
+            }
+            assert!(
+                e.check_invariants().iter().any(|v| v.contains("poisoned by panic")),
+                "{case}"
+            );
+            let err2 = e
+                .try_process_batch_grouped(&updates[..1])
+                .expect_err("still poisoned");
+            assert_eq!((err2.shard, &err2.message), (victim, &err.message), "{case}");
+            // The panicking entry point reports the same shard, for a
+            // small batch and a large one.
+            for len in [8usize, 300] {
+                let batch = std::panic::AssertUnwindSafe(|| e.process_batch(&updates[..len]));
+                let panic = std::panic::catch_unwind(batch).expect_err("poisoned engine must panic");
+                let text = panic.downcast_ref::<String>();
+                assert_eq!(text, Some(&err.to_string()), "{case}, then a batch of {len}");
+            }
         }
-        assert!(e
-            .check_invariants()
-            .iter()
-            .any(|v| v.contains("worker poisoned")));
-        let err2 = e
-            .try_process_batch_grouped(&updates[..1])
-            .expect_err("still poisoned");
-        assert_eq!(err2.shard, 1);
-        assert_eq!(err2.message, err.message);
-        // The panicking entry point reports the same shard, on the inline
-        // path (8 updates) and the threaded one (64).
-        for len in [8usize, 64] {
-            let batch = std::panic::AssertUnwindSafe(|| e.process_batch(&updates[..len]));
-            let panic = std::panic::catch_unwind(batch).expect_err("poisoned engine must panic");
-            let text = panic.downcast_ref::<String>();
-            assert_eq!(text, Some(&err.to_string()), "batch of {len}");
+    }
+
+    #[test]
+    fn engine_panic_poisons_its_shard_on_every_path() {
+        // chain3: seven valid inserts, then an arity-1 insert into S(A,B),
+        // which panics inside the engine. Whether the shard runs on the
+        // caller or a scoped thread, the batch returns `Err`, poisons the
+        // shard, and the next batch is refused.
+        let q = QuerySchema::chain3();
+        for (shards, len) in [(1usize, 8usize), (2, 8), (2, 64), (2, 300)] {
+            let mut batch: Vec<Update> = (0..len as u64 - 1)
+                .map(|k| match k % 3 {
+                    0 => ins(0, &[k as i64 % 5], k),
+                    1 => ins(1, &[k as i64 % 5, k as i64 % 3], k),
+                    _ => ins(2, &[k as i64 % 3], k),
+                })
+                .collect();
+            batch.push(ins(1, &[1], len as u64));
+            let mut e = ShardedEngine::new(q.clone(), shards);
+            let err = e
+                .try_process_batch_grouped(&batch)
+                .expect_err("arity mismatch must fail the batch");
+            assert_eq!(e.poisoned_shards(), vec![err.shard], "{shards} shards, {len} updates");
+            let again = e
+                .try_process_batch_grouped(&batch[..1])
+                .expect_err("next batch must be refused");
+            assert_eq!(again.shard, err.shard);
         }
     }
 
@@ -1090,18 +1229,5 @@ mod tests {
         let rs = e.routing_stats();
         assert_eq!(rs.routed, updates.len() as u64);
         assert_eq!(rs.broadcast, 0);
-    }
-
-    #[test]
-    fn runtime_telemetry_gauges_present() {
-        let q = QuerySchema::star(3);
-        let updates = workload(&q, 9, 300);
-        let mut e = ShardedEngine::new(q, 2);
-        e.process_batch(&updates);
-        let snap = e.telemetry_snapshot();
-        let text = snap.to_json();
-        for metric in ["shard.queue_depth", "shard.parked_ratio", "merge.lag"] {
-            assert!(text.contains(metric), "missing {metric} in snapshot");
-        }
     }
 }

@@ -16,10 +16,10 @@
 //!    count must emit *bit-identical* canonicalized per-update deltas, match
 //!    the oracle, and pass [`ShardedEngine::check_invariants`] both at
 //!    periodic mid-run sweep points and at the end. At every shard count
-//!    the persistent worker runtime is also swept against the pre-runtime
-//!    scoped-thread executor ([`acq::shard::reference::ScopedShardedEngine`],
-//!    kept behind the `reference-exec` feature), whose canonical deltas
-//!    must be bit-identical too.
+//!    the executor is also swept against the PR 1 executor with stateless
+//!    routing ([`acq::shard::reference::ScopedShardedEngine`], kept behind
+//!    the `reference-exec` feature), whose canonical deltas must be
+//!    bit-identical too — a check on the balancing router and the merge.
 //! 4. **Telemetry conservation** — every run's final snapshot satisfies the
 //!    [`acq_telemetry::ENGINE_LAWS`] counter conservation laws, and the
 //!    engine's `tuples_processed` equals the number of updates fed.
@@ -308,9 +308,9 @@ pub fn run_case(spec: &CaseSpec) -> Result<CaseOutcome, CaseFailure> {
                         .collect(),
                 );
             }
-            // Mid-run invariant sweeps: the persistent workers hold live
-            // engine state between batches, so sweep it while in flight,
-            // not only after the stream ends.
+            // Mid-run invariant sweeps: the shards hold live engine state
+            // between batches, so sweep it while in flight, not only after
+            // the stream ends.
             since_sweep += batch.len();
             if since_sweep >= INVARIANT_EVERY {
                 since_sweep = 0;
@@ -350,10 +350,10 @@ pub fn run_case(spec: &CaseSpec) -> Result<CaseOutcome, CaseFailure> {
                 detail: format!("merged-snapshot conservation: {}", laws.join("; ")),
             });
         }
-        // Pre-runtime scoped-thread executor: the retired per-batch
-        // spawn+join path, kept behind `reference-exec` purely as a
-        // differential baseline. Its canonical deltas must match the
-        // persistent runtime's bit-for-bit at the same shard count.
+        // The PR 1 executor (stateless hash routing, k-way merge), kept
+        // behind `reference-exec` purely as a differential baseline. Its
+        // canonical deltas must match the balancing router's and the flat
+        // merge's bit-for-bit at the same shard count.
         outcome.runs += 1;
         let mut scoped = ScopedShardedEngine::with_config(
             query.clone(),
@@ -385,8 +385,8 @@ pub fn run_case(spec: &CaseSpec) -> Result<CaseOutcome, CaseFailure> {
             return Err(CaseFailure {
                 run: format!("shards:{num_shards}:scoped-reference"),
                 detail: format!(
-                    "scoped-thread reference diverges from the persistent \
-                     runtime at update {at}"
+                    "scoped-thread reference diverges from the sharded \
+                     executor at update {at}"
                 ),
             });
         }

@@ -14,7 +14,7 @@ fn bounded_sweep_is_green() {
         let outcome = sweep::run_case(&spec)
             .unwrap_or_else(|f| panic!("{}: [{}] {}", spec.name, f.run, f.detail));
         assert!(outcome.updates > 0);
-        // Per shard count the sweep runs the persistent executor and the
+        // Per shard count the sweep runs the sharded executor and the
         // scoped-thread reference executor, hence two runs per entry.
         assert_eq!(
             outcome.runs,

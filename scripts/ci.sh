@@ -22,13 +22,8 @@ run cargo test -q --offline --workspace || fail=1
 # point diverges from the oracle or a corpus case is no longer green.
 run cargo run --release --offline -q -p acq-harness -- --seed 1 --cases 6 --check-corpus --no-write || fail=1
 
-# Persistent-runtime data plane (tier 2): the SPSC ring schedule-fuzz
-# model and drop-while-nonempty leak tests, explicitly — the runtime's
-# safety protocol rests on this ring behaving exactly like the model.
-run cargo test -q --offline -p acq --test spsc_ring || fail=1
-
 # Bench smoke (tier 2): the hot-path benchmark — including the sharded
-# runtime scenario group — on a tiny workload, to catch bench-harness rot
+# executor's scenario group — on a tiny workload, to catch bench-harness rot
 # without paying full measurement time. The smoke run only prints: it
 # leaves every tracked file as it was.
 run scripts/bench.sh --smoke || fail=1

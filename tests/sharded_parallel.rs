@@ -186,23 +186,29 @@ proptest! {
 
 #[test]
 fn mixed_batch_sizes_cross_inline_threshold() {
-    // The executor runs small batches inline on the caller thread and
-    // streams large ones through the persistent worker runtime, switching
-    // at a fixed threshold (32 updates). Feeding one stream through chunk
-    // sizes straddling that threshold must produce bit-identical canonical
-    // output to the one-big-batch run: batching (and therefore which path
-    // executes each batch) is an amortization, never a semantic change.
+    // The executor runs small batches' shards on the caller thread and
+    // fans large ones out to scoped threads, switching at a fixed threshold
+    // (256 updates). Feeding one stream through chunk sizes straddling that
+    // threshold must produce bit-identical canonical output to the
+    // one-big-batch run: batching (and therefore which path executes each
+    // batch) is an amortization, never a semantic change.
     let query = QuerySchema::star(4);
     let mut steps = Vec::new();
     let mut x = 0x5EEDu64;
-    for _ in 0..420 {
+    let mut live = [0usize; 4];
+    for _ in 0..1500 {
         x ^= x << 13;
         x ^= x >> 7;
         x ^= x << 17;
         let rel = (x % 4) as u16;
-        if x.is_multiple_of(5) {
+        // Capping each relation at 24 live tuples lets the stream outgrow
+        // the threshold several times over without the star join's output
+        // growing with it.
+        if x.is_multiple_of(5) || live[rel as usize] == 24 {
             steps.push(Step::DeleteOldest { rel });
+            live[rel as usize] = live[rel as usize].saturating_sub(1);
         } else {
+            live[rel as usize] += 1;
             // Narrow value domain so multi-row delta groups appear on both
             // sides of the threshold.
             steps.push(Step::Insert {
@@ -234,7 +240,7 @@ fn mixed_batch_sizes_cross_inline_threshold() {
         .collect();
 
     let (mut chunked, mut flat_engine) = (engine(), engine());
-    let sizes = [1usize, 8, 31, 32, 33, 64, 3, 100];
+    let sizes = [1usize, 8, 255, 256, 257, 64, 3, 512];
     let (mut got, mut flat) = (Vec::new(), Vec::new());
     let mut rest = &updates[..];
     let mut si = 0;
