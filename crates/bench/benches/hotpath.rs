@@ -38,55 +38,23 @@
 
 use acq::engine::{AdaptiveJoinEngine, EngineConfig, ReoptInterval, SelectionStrategy};
 use acq::shard::{ShardConfig, ShardedEngine};
+use acq_bench::alloc::{process_allocs, CountingAlloc};
 use acq_bench::report::merge_label_section;
 use acq_gen::column::ColumnGen;
 use acq_gen::spec::{chain3_default, StreamSpec, Workload};
 use acq_mjoin::plan::PlanOrders;
 use acq_stream::{QuerySchema, Update};
-use std::alloc::{GlobalAlloc, Layout, System};
-use std::sync::atomic::{AtomicU64, Ordering};
 use std::time::Instant;
 
 /// Updates per ingestion batch for the hotpath group (matches the
 /// shard_scaling bench); the shard group sets per-scenario chunk sizes.
 const CHUNK: usize = 8192;
 
-// ---------------------------------------------------------------------
-// Counting allocator: every heap allocation in the process is tallied so
-// the bench can report allocations per steady-state update.
-
-struct CountingAlloc;
-
-static ALLOC_COUNT: AtomicU64 = AtomicU64::new(0);
-static ALLOC_BYTES: AtomicU64 = AtomicU64::new(0);
-
-unsafe impl GlobalAlloc for CountingAlloc {
-    unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
-        ALLOC_COUNT.fetch_add(1, Ordering::Relaxed);
-        ALLOC_BYTES.fetch_add(layout.size() as u64, Ordering::Relaxed);
-        unsafe { System.alloc(layout) }
-    }
-
-    unsafe fn dealloc(&self, ptr: *mut u8, layout: Layout) {
-        unsafe { System.dealloc(ptr, layout) }
-    }
-
-    unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
-        ALLOC_COUNT.fetch_add(1, Ordering::Relaxed);
-        ALLOC_BYTES.fetch_add(new_size as u64, Ordering::Relaxed);
-        unsafe { System.realloc(ptr, layout, new_size) }
-    }
-}
-
+// Every heap allocation in the process is tallied (shards allocate on
+// scoped threads) so the bench can report allocations per steady-state
+// update.
 #[global_allocator]
 static GLOBAL: CountingAlloc = CountingAlloc;
-
-fn alloc_snapshot() -> (u64, u64) {
-    (
-        ALLOC_COUNT.load(Ordering::Relaxed),
-        ALLOC_BYTES.load(Ordering::Relaxed),
-    )
-}
 
 // ---------------------------------------------------------------------
 // Workloads
@@ -199,11 +167,11 @@ fn run(q: &QuerySchema, updates: &[Update], shards: usize, mode: Mode, chunk: us
     let warm_deltas = e.feed(&updates[..warmup], chunk);
     std::hint::black_box(warm_deltas);
     let steady = &updates[warmup..];
-    let (a0, b0) = alloc_snapshot();
+    let (a0, b0) = process_allocs();
     let t0 = Instant::now();
     let deltas = e.feed(steady, chunk);
     let elapsed = t0.elapsed();
-    let (a1, b1) = alloc_snapshot();
+    let (a1, b1) = process_allocs();
     std::hint::black_box(deltas);
     let n = steady.len() as f64;
     // HOTPATH_COUNTERS=1: dump engine counters so per-update work (probes,

@@ -13,6 +13,7 @@
 //! re-optimization, cache maintenance — are charged to the same clock, as in
 //! the paper ("these numbers include all types of overheads").
 
+pub mod alloc;
 pub mod plans;
 pub mod report;
 pub mod runner;

@@ -213,12 +213,21 @@ struct PipelinePlan {
     /// stream: their segment-join delta is computed separately on every
     /// update to this relation.
     gc_direct: Vec<Tap>,
-    /// First position from which an unprofiled tuple meets no tap, Bloom
-    /// feed or cache lookup: the rest of the pipeline runs as one
-    /// depth-first [`JoinCore::walk`].
-    tail: usize,
-    /// [`PipelinePlan::tail`] for profiled tuples, which skip lookups.
-    tail_profiled: usize,
+}
+
+impl PipelinePlan {
+    /// The first stop after position `j`, or the pipeline length if none
+    /// is left. A stop is a position with a maintenance tap, a Bloom feed,
+    /// or (for unprofiled tuples, which do not skip lookups) a used cache.
+    fn next_stop(&self, j: usize, profiled: bool) -> usize {
+        (j + 1..self.lookup.len())
+            .find(|&k| {
+                !self.taps[k].is_empty()
+                    || !self.bloom[k].is_empty()
+                    || (!profiled && self.lookup[k].is_some())
+            })
+            .unwrap_or(self.lookup.len())
+    }
 }
 
 /// Aggregate engine counters.
@@ -283,6 +292,9 @@ pub struct AdaptiveJoinEngine {
     fruitless_streak: u32,
     /// Scratch buffers reused across updates.
     scratch_next: Vec<Composite>,
+    /// Per-operator `(prefixes in, ns)` of the walk in progress; each walk
+    /// zeroes only the slots it uses.
+    scratch_tally: [(u64, u64); MAX_PARTS],
     /// Reusable pipeline frontier buffer.
     scratch_frontier: Vec<Composite>,
     /// Reusable globally-consistent maintenance delta buffer.
@@ -366,6 +378,7 @@ impl AdaptiveJoinEngine {
             orderer: GreedyOrderer::default(),
             fruitless_streak: 0,
             scratch_next: Vec::new(),
+            scratch_tally: [(0, 0); MAX_PARTS],
             scratch_frontier: Vec::new(),
             scratch_gc: Vec::new(),
             scratch_values: Vec::new(),
@@ -547,8 +560,6 @@ impl AdaptiveJoinEngine {
                     taps: (0..ops).map(|_| Vec::new()).collect(),
                     bloom: (0..ops).map(|_| Vec::new()).collect(),
                     gc_direct: Vec::new(),
-                    tail: 0,
-                    tail_profiled: 0,
                 }
             })
             .collect();
@@ -660,21 +671,6 @@ impl AdaptiveJoinEngine {
                 }
             }
         }
-        // The step-by-step loop materializes the frontier up to the last
-        // position that feeds a tap or Bloom filter (fed before the walk
-        // starts there) and, for unprofiled tuples, past the last lookup.
-        for plan in &mut plans {
-            let fed = (0..plan.taps.len())
-                .rev()
-                .find(|&j| !plan.taps[j].is_empty() || !plan.bloom[j].is_empty())
-                .unwrap_or(0);
-            plan.tail_profiled = fed;
-            plan.tail = plan
-                .lookup
-                .iter()
-                .rposition(Option::is_some)
-                .map_or(fed, |j| fed.max(j + 1));
-        }
         self.plans = plans;
     }
 
@@ -753,6 +749,11 @@ impl AdaptiveJoinEngine {
     /// profiling. Results are appended to `out` (a reused caller buffer —
     /// this function performs no per-update allocation once scratch buffers
     /// are warm).
+    ///
+    /// The frontier is materialized only at stops (see
+    /// [`PipelinePlan::next_stop`]): there it feeds the taps and Bloom
+    /// filters, then either probes the used cache or walks depth first to
+    /// the next stop.
     fn run_pipeline(
         &mut self,
         pi: usize,
@@ -763,11 +764,6 @@ impl AdaptiveJoinEngine {
         out: &mut Vec<(Op, Composite)>,
     ) {
         let num_ops = self.compiled[pi].len();
-        let tail = if profiled {
-            plan.tail_profiled
-        } else {
-            plan.tail
-        };
         let mut frontier = std::mem::take(&mut self.scratch_frontier);
         frontier.clear();
         frontier.push(seed);
@@ -778,72 +774,39 @@ impl AdaptiveJoinEngine {
         }
 
         let mut j = 0usize;
-        while j < num_ops {
+        while j < num_ops && !frontier.is_empty() {
             // (a) plain-cache maintenance taps at this position.
-            if !plan.taps[j].is_empty() && !frontier.is_empty() {
+            if !plan.taps[j].is_empty() {
                 self.feed_plain_taps(&plan.taps[j], &frontier, op_kind);
             }
             // (b) Bloom probe-stream feeds for profiled candidates.
-            if !plan.bloom[j].is_empty() && !frontier.is_empty() {
+            if !plan.bloom[j].is_empty() {
                 self.feed_bloom(&plan.bloom[j], &frontier);
             }
-            if frontier.is_empty() {
-                // Record zeroes for remaining positions if profiling.
-                if profiled {
-                    profile_rec.push((0.0, 0));
+            match plan.lookup[j] {
+                // (c) CacheLookup (skipped for profiled tuples, §4.3/App. A).
+                Some(ci) if !profiled => {
+                    let mut next = std::mem::take(&mut self.scratch_next);
+                    next.clear();
+                    j = self.cache_segment(pi, ci, &mut frontier, op_kind, &mut next) + 1;
+                    std::mem::swap(&mut frontier, &mut next);
+                    self.scratch_next = next;
                 }
-                j += 1;
-                continue;
-            }
-            if j >= tail {
-                self.walk_tail(pi, j, &mut frontier, profiled.then_some(&mut profile_rec));
-                break;
-            }
-            // (c) CacheLookup (skipped for profiled tuples, §4.3/App. A).
-            let lookup = if profiled { None } else { plan.lookup[j] };
-            if let Some(ci) = lookup {
-                let mut next = std::mem::take(&mut self.scratch_next);
-                next.clear();
-                let end = self.cache_segment(pi, ci, &mut frontier, op_kind, &mut next);
-                std::mem::swap(&mut frontier, &mut next);
-                self.scratch_next = next;
-                j = end + 1;
-                continue;
-            }
-            // (d) plain operator execution.
-            let t0 = self.core.now_ns();
-            let in_count = frontier.len();
-            self.scratch_next.clear();
-            let op = &self.compiled[pi][j];
-            let mut next = std::mem::take(&mut self.scratch_next);
-            for c in frontier.drain(..) {
-                let before = next.len();
-                self.core.probe_join_owned(c, op, &mut next);
-                if let Some(source) = op.single_predicate_source() {
-                    self.online.record_probe(
-                        source,
-                        op.target,
-                        next.len() - before,
-                        self.core.relation(op.target).len(),
-                    );
+                // (d) plain operators up to the next stop.
+                _ => {
+                    let stop = plan.next_stop(j, profiled);
+                    let rec = profiled.then_some(&mut profile_rec);
+                    self.walk_segment(pi, j..stop, &mut frontier, rec);
+                    j = stop;
                 }
             }
-            let dt = self.core.now_ns() - t0;
-            if profiled {
-                profile_rec.push((in_count as f64, dt));
-            }
-            self.op_metrics[pi].record_op(j, in_count as u64, next.len() as u64, dt);
-            std::mem::swap(&mut frontier, &mut next);
-            self.scratch_next = next;
-            self.scratch_next.clear();
-            j += 1;
         }
 
         if profiled {
+            // Positions the frontier never reached record zeroes; profiled
+            // tuples skip lookups, so no cache shortens the record.
+            profile_rec.resize(num_ops, (0.0, 0));
             profile_rec.push((frontier.len() as f64, 0));
-            // Pad to positions+1 if cache bypass shortened the walk — cannot
-            // happen for profiled tuples (caches disabled), assert instead.
-            debug_assert_eq!(profile_rec.len(), num_ops + 1);
             self.profiler
                 .record_profiled(RelId(pi as u16), &profile_rec);
         }
@@ -852,48 +815,31 @@ impl AdaptiveJoinEngine {
         self.scratch_frontier = frontier;
     }
 
-    /// Run the frontier at position `j` through the rest of pipeline `pi`
-    /// with [`JoinCore::walk`], replacing it with the pipeline's results.
-    /// Records the same operator metrics, selectivity samples and profile
-    /// entries as the step-by-step loop.
-    fn walk_tail(
+    /// Walk the frontier through positions `range` of pipeline `pi` with
+    /// [`JoinCore::walk`], replacing it with what leaves the last one, and
+    /// record the operator metrics, selectivity samples and (for profiled
+    /// tuples) profile entries of those positions.
+    fn walk_segment(
         &mut self,
         pi: usize,
-        j: usize,
+        range: std::ops::Range<usize>,
         frontier: &mut Vec<Composite>,
-        mut profile_rec: Option<&mut Vec<(f64, u64)>>,
+        profile_rec: Option<&mut Vec<(f64, u64)>>,
     ) {
-        let ops = &self.compiled[pi][j..];
-        // Relation sizes cannot change during the walk.
-        let mut sizes = [0usize; MAX_PARTS];
-        for (size, op) in sizes.iter_mut().zip(ops) {
-            *size = self.core.relation(op.target).len();
-        }
-        let mut tally = [(0u64, 0u64); MAX_PARTS];
+        let start = range.start;
+        let ops = &self.compiled[pi][range];
+        let tally = &mut self.scratch_tally[..ops.len()];
+        tally.fill((0, 0));
         let mut next = std::mem::take(&mut self.scratch_next);
         next.clear();
         let online = &mut self.online;
         for c in frontier.drain(..) {
             self.core
-                .walk(c, ops, &mut tally, &mut next, |k, produced| {
-                    if let Some(source) = ops[k].single_predicate_source() {
-                        online.record_probe(source, ops[k].target, produced, sizes[k]);
-                    }
+                .walk(c, ops, tally, &mut next, |k, produced, size| {
+                    online.record_op_probe(&ops[k], produced, size)
                 });
         }
-        for (k, &(tuples_in, ns)) in tally[..ops.len()].iter().enumerate() {
-            let tuples_out = if k + 1 < ops.len() {
-                tally[k + 1].0
-            } else {
-                next.len() as u64
-            };
-            if let Some(rec) = profile_rec.as_deref_mut() {
-                rec.push((tuples_in as f64, ns));
-            }
-            if tuples_in > 0 {
-                self.op_metrics[pi].record_op(j + k, tuples_in, tuples_out, ns);
-            }
-        }
+        self.op_metrics[pi].record_walk(start, tally, next.len() as u64, profile_rec);
         std::mem::swap(frontier, &mut next);
         self.scratch_next = next;
     }
@@ -970,7 +916,7 @@ impl AdaptiveJoinEngine {
                     // (seeded with the moved prefix — no clone).
                     let before = out.len();
                     let ops = &self.compiled[pi][start..=end];
-                    self.core.walk(c, ops, &mut tally, out, |_, _| {});
+                    self.core.walk(c, ops, &mut tally, out, |_, _, _| {});
                     // create(u, v): v restricted to segment relations.
                     values.clear();
                     values.extend(
@@ -1057,7 +1003,7 @@ impl AdaptiveJoinEngine {
             delta.clear();
             let seed = Composite::unit(tref.clone());
             self.core
-                .walk(seed, &tap.ops, &mut tally, &mut delta, |_, _| {});
+                .walk(seed, &tap.ops, &mut tally, &mut delta, |_, _, _| {});
             self.core.charge(delta.len() as u64 * per);
             let store = self.stores[tap.group].as_mut().expect("checked above");
             // Each delta holds exactly the segment's relations.

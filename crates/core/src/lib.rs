@@ -46,8 +46,9 @@
 //! Feeding: [`AdaptiveJoinEngine::process`] and `process_into` take one
 //! update (`process_batch_grouped` loops over `process`);
 //! [`ShardedEngine::process_batch`] and `process_batch_grouped` take a
-//! batch, and `try_process_batch_grouped` reports a poisoned shard as a
-//! typed [`ShardPanic`] instead of panicking.
+//! batch, and `try_process_batch_grouped` reports a poisoned shard or an
+//! update naming an unknown relation as a typed [`BatchError`] instead of
+//! panicking.
 //!
 //! Observability: every engine exposes a structured
 //! [`acq_telemetry::TelemetrySnapshot`] (metrics + virtual-time event trace),
@@ -78,7 +79,8 @@ pub use memory::{allocate, Allocation, MemoryConfig, MemoryRequest};
 pub use profiler::{Profiler, ProfilerConfig};
 pub use select::{SelectionInstance, Solution};
 pub use shard::{
-    auto_partition_class, canonicalize_group, RoutingStats, ShardConfig, ShardPanic, ShardedEngine,
+    auto_partition_class, canonicalize_group, BatchError, RoutingStats, ShardConfig, ShardPanic,
+    ShardedEngine,
 };
 pub use stream_join::{StreamJoin, StreamJoinBuilder, WindowSpec};
 pub use acq_telemetry::TelemetrySnapshot;

@@ -23,7 +23,7 @@
 //! * Each shard runs the full adaptive machinery (profiler, re-optimizer,
 //!   cache stores) over its substream. A batch is routed into per-shard
 //!   index lists, then the shards run: on `std::thread::scope` threads
-//!   when the batch has at least `INLINE_BATCH` updates, each thread
+//!   when the batch has at least [`INLINE_BATCH`] updates, each thread
 //!   taking a contiguous chunk of shards and the caller running the first
 //!   chunk itself; smaller batches run every shard on the caller.
 //! * Output deltas are merged back into **global arrival order** by batch
@@ -47,8 +47,9 @@
 //! **Failure containment.** Every shard run, on the caller or on a scoped
 //! thread, executes under `catch_unwind`: a panic poisons only that shard,
 //! and the engine surfaces a typed [`ShardPanic`] (shard id + last
-//! telemetry snapshot) from [`ShardedEngine::try_process_batch_grouped`]
-//! while the remaining shards stay inspectable.
+//! telemetry snapshot) inside [`BatchError::ShardPanic`] from
+//! [`ShardedEngine::try_process_batch_grouped`] while the remaining shards
+//! stay inspectable.
 
 use crate::engine::{AdaptiveJoinEngine, EngineConfig};
 use acq_mjoin::clock::ClockAggregate;
@@ -63,8 +64,9 @@ use std::panic::{catch_unwind, AssertUnwindSafe};
 /// Batches shorter than this run every shard on the calling thread. One
 /// scoped spawn + join measured 27–39 µs on a 2-vCPU Xeon host: about 2%
 /// of a 1,024-update chain3 batch, but as long as a 32-update batch's own
-/// work.
-const INLINE_BATCH: usize = 256;
+/// work. Public so that tests can feed batches on both sides of it; it is
+/// not a setting.
+pub const INLINE_BATCH: usize = 256;
 
 /// Sharding configuration.
 #[derive(Debug, Clone)]
@@ -356,6 +358,45 @@ impl fmt::Display for ShardPanic {
 
 impl std::error::Error for ShardPanic {}
 
+/// Why [`ShardedEngine::try_process_batch_grouped`] failed a batch.
+#[derive(Debug)]
+pub enum BatchError {
+    /// A shard run panicked, poisoning its shard; every later batch is
+    /// refused with the same error.
+    ShardPanic(ShardPanic),
+    /// `updates[index]` names relation `rel`, which the query does not
+    /// have. The batch was refused before routing: the directory, the
+    /// routing counters and every shard are as they were, and the next
+    /// batch is accepted.
+    UnknownRelation {
+        /// Position of the offending update in the batch.
+        index: usize,
+        /// The relation id it names.
+        rel: RelId,
+    },
+}
+
+impl fmt::Display for BatchError {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        match self {
+            BatchError::ShardPanic(p) => p.fmt(f),
+            BatchError::UnknownRelation { index, rel } => write!(
+                f,
+                "update {index} of the batch names relation {}, which the query does not have",
+                rel.0
+            ),
+        }
+    }
+}
+
+impl std::error::Error for BatchError {}
+
+impl From<ShardPanic> for BatchError {
+    fn from(p: ShardPanic) -> BatchError {
+        BatchError::ShardPanic(p)
+    }
+}
+
 /// One shard: its engine plus the buffers one batch run fills.
 #[derive(Debug)]
 struct Shard {
@@ -626,31 +667,33 @@ impl ShardedEngine {
 
     /// Process a batch of updates (in the given order), returning the
     /// concatenated result deltas in global update order. Each update's
-    /// delta group is in canonical row order. Panics if a shard is
-    /// poisoned — use [`ShardedEngine::try_process_batch_grouped`] for
-    /// typed failure handling.
+    /// delta group is in canonical row order. Panics with the text of the
+    /// [`BatchError`] that [`ShardedEngine::try_process_batch_grouped`]
+    /// would return.
     pub fn process_batch(&mut self, updates: &[Update]) -> Vec<(Op, Composite)> {
         self.run_batch(updates, None)
             .unwrap_or_else(|e| panic!("{e}"))
     }
 
     /// Like [`ShardedEngine::process_batch`] but keeps per-update grouping:
-    /// `result[i]` is the canonical delta list of `updates[i]`. Panics if a
-    /// shard is poisoned — use [`ShardedEngine::try_process_batch_grouped`]
-    /// for typed failure handling.
+    /// `result[i]` is the canonical delta list of `updates[i]`. Panics with
+    /// the text of the [`BatchError`] that
+    /// [`ShardedEngine::try_process_batch_grouped`] would return.
     pub fn process_batch_grouped(&mut self, updates: &[Update]) -> Vec<Vec<(Op, Composite)>> {
         self.try_process_batch_grouped(updates)
             .unwrap_or_else(|e| panic!("{e}"))
     }
 
-    /// Fallible [`ShardedEngine::process_batch_grouped`]. On `Err` the
-    /// failing shard is poisoned permanently; healthy shards remain
-    /// inspectable, but further processing is refused because the poisoned
-    /// shard's substream state is lost.
+    /// Fallible [`ShardedEngine::process_batch_grouped`]. A batch naming
+    /// an unknown relation is refused whole, leaving the engine as it was.
+    /// On a [`BatchError::ShardPanic`] the failing shard is poisoned
+    /// permanently; healthy shards remain inspectable, but further
+    /// processing is refused because the poisoned shard's substream state
+    /// is lost.
     pub fn try_process_batch_grouped(
         &mut self,
         updates: &[Update],
-    ) -> Result<Vec<Vec<(Op, Composite)>>, ShardPanic> {
+    ) -> Result<Vec<Vec<(Op, Composite)>>, BatchError> {
         let mut ends = Vec::with_capacity(updates.len());
         let mut deltas = self.run_batch(updates, Some(&mut ends))?.into_iter();
         let mut start = 0;
@@ -664,18 +707,25 @@ impl ShardedEngine {
             .collect())
     }
 
-    /// The one batch path: refuse the batch if a shard is poisoned,
-    /// refresh the router's load view when due, route, run the shards,
-    /// and merge. Every delta lands in one flat vector with each update's
-    /// span canonicalized in place; when `ends` is given, the end offset
-    /// of each update's span is pushed to it.
+    /// The one batch path: refuse the batch if a shard is poisoned or an
+    /// update names an unknown relation, refresh the router's load view
+    /// when due, route, run the shards, and merge. Every delta lands in
+    /// one flat vector with each update's span canonicalized in place;
+    /// when `ends` is given, the end offset of each update's span is
+    /// pushed to it.
     fn run_batch(
         &mut self,
         updates: &[Update],
         ends: Option<&mut Vec<usize>>,
-    ) -> Result<Vec<(Op, Composite)>, ShardPanic> {
+    ) -> Result<Vec<(Op, Composite)>, BatchError> {
         if let Some(failure) = self.first_failure() {
-            return Err(failure);
+            return Err(failure.into());
+        }
+        // Checked before routing touches the directory.
+        let rels = self.router.part_col.len();
+        if let Some(index) = updates.iter().position(|u| u.rel.0 as usize >= rels) {
+            let rel = updates[index].rel;
+            return Err(BatchError::UnknownRelation { index, rel });
         }
         if self.num_shards() > 1 && self.router.needs_refresh() {
             self.router
@@ -684,7 +734,7 @@ impl ShardedEngine {
         self.route(updates);
         self.run_shards(updates);
         if let Some(failure) = self.first_failure() {
-            return Err(failure);
+            return Err(failure.into());
         }
         Ok(self.merge(updates.len(), ends))
     }
@@ -966,6 +1016,14 @@ mod tests {
         out
     }
 
+    /// The shard panic inside a batch error.
+    fn panicked(err: BatchError) -> ShardPanic {
+        match err {
+            BatchError::ShardPanic(p) => p,
+            other => panic!("expected a shard panic, got: {other}"),
+        }
+    }
+
     fn canon(group: &[(Op, Composite)], n: usize) -> Vec<(Op, Vec<TupleData>)> {
         group
             .iter()
@@ -1152,9 +1210,10 @@ mod tests {
             let mut e = ShardedEngine::new(q.clone(), shards);
             e.process_batch(&updates[..100]);
             e.inject_worker_panic(victim);
-            let err = e
-                .try_process_batch_grouped(&updates[100..100 + len])
-                .expect_err("poisoned shard must fail the batch");
+            let err = panicked(
+                e.try_process_batch_grouped(&updates[100..100 + len])
+                    .expect_err("poisoned shard must fail the batch"),
+            );
             assert_eq!(err.shard, victim, "{case}");
             assert!(err.message.contains("injected shard panic"), "{case}: {err}");
             assert_eq!(e.poisoned_shards(), vec![victim], "{case}");
@@ -1167,9 +1226,10 @@ mod tests {
                 e.check_invariants().iter().any(|v| v.contains("poisoned by panic")),
                 "{case}"
             );
-            let err2 = e
-                .try_process_batch_grouped(&updates[..1])
-                .expect_err("still poisoned");
+            let err2 = panicked(
+                e.try_process_batch_grouped(&updates[..1])
+                    .expect_err("still poisoned"),
+            );
             assert_eq!((err2.shard, &err2.message), (victim, &err.message), "{case}");
             // The panicking entry point reports the same shard, for a
             // small batch and a large one.
@@ -1199,15 +1259,85 @@ mod tests {
                 .collect();
             batch.push(ins(1, &[1], len as u64));
             let mut e = ShardedEngine::new(q.clone(), shards);
-            let err = e
-                .try_process_batch_grouped(&batch)
-                .expect_err("arity mismatch must fail the batch");
+            let err = panicked(
+                e.try_process_batch_grouped(&batch)
+                    .expect_err("arity mismatch must fail the batch"),
+            );
             assert_eq!(e.poisoned_shards(), vec![err.shard], "{shards} shards, {len} updates");
-            let again = e
-                .try_process_batch_grouped(&batch[..1])
-                .expect_err("next batch must be refused");
+            let again = panicked(
+                e.try_process_batch_grouped(&batch[..1])
+                    .expect_err("next batch must be refused"),
+            );
             assert_eq!(again.shard, err.shard);
         }
+    }
+
+    #[test]
+    fn unknown_relation_is_refused_before_routing() {
+        // chain3 on 2 shards: a valid R insert, then an update naming
+        // relation 9, in one batch. The batch is refused whole: directory,
+        // routing counters and shards stay as they were, nothing is
+        // poisoned, and the next batch matches a single engine.
+        let q = QuerySchema::chain3();
+        let updates = workload(&q, 17, 120);
+        let mut e = ShardedEngine::new(q.clone(), 2);
+        let mut single = AdaptiveJoinEngine::new(q.clone());
+        e.process_batch(&updates[..60]);
+        for u in &updates[..60] {
+            single.process(u);
+        }
+        let directory = |e: &ShardedEngine| {
+            let mut d: Vec<_> = e
+                .router
+                .directory
+                .iter()
+                .map(|(k, v)| (*k, v.shard, v.live))
+                .collect();
+            d.sort_unstable();
+            d
+        };
+        let state = |e: &ShardedEngine| {
+            let processed: Vec<u64> = (0..e.num_shards())
+                .map(|i| e.with_shard(i, |s| s.counters().tuples_processed))
+                .collect();
+            let rs = e.routing_stats();
+            (directory(e), rs.routed, rs.broadcast, processed)
+        };
+        let before = state(&e);
+        assert!(!before.0.is_empty(), "the prefix must fill the directory");
+        let bad = [ins(0, &[1000], 60), ins(9, &[1], 61)];
+        let err = e
+            .try_process_batch_grouped(&bad)
+            .expect_err("relation 9 must be refused");
+        assert!(
+            matches!(
+                err,
+                BatchError::UnknownRelation {
+                    index: 1,
+                    rel: RelId(9)
+                }
+            ),
+            "{err}"
+        );
+        assert_eq!(state(&e), before);
+        assert!(e.poisoned_shards().is_empty());
+        // The panicking entry point refuses it with the same text, and
+        // also leaves the engine untouched.
+        let batch = std::panic::AssertUnwindSafe(|| e.process_batch(&bad));
+        let panic = std::panic::catch_unwind(batch).expect_err("unknown relation must panic");
+        assert_eq!(panic.downcast_ref::<String>(), Some(&err.to_string()));
+        assert_eq!(state(&e), before);
+        for (u, got) in updates[60..]
+            .iter()
+            .zip(e.process_batch_grouped(&updates[60..]))
+        {
+            let want = canon(&single.process(u), 3);
+            assert!(
+                multiset_diff(&canon(&got, 3), &want).is_empty(),
+                "diverged on {u} after the refused batch"
+            );
+        }
+        assert!(e.check_invariants().is_empty());
     }
 
     #[test]

@@ -15,7 +15,10 @@
 //! 3. **Shard determinism** — the sharded executor at every requested shard
 //!    count must emit *bit-identical* canonicalized per-update deltas, match
 //!    the oracle, and pass [`ShardedEngine::check_invariants`] both at
-//!    periodic mid-run sweep points and at the end. At every shard count
+//!    periodic mid-run sweep points and at the end. Batches alternate
+//!    between `SHARD_BATCH` (16) updates, which run every shard on the
+//!    caller, and [`INLINE_BATCH`], which fans the shards out to scoped
+//!    threads (on a host with more than one core). At every shard count
 //!    the executor is also swept against the PR 1 executor with stateless
 //!    routing ([`acq::shard::reference::ScopedShardedEngine`], kept behind
 //!    the `reference-exec` feature), whose canonical deltas must be
@@ -31,7 +34,7 @@ use acq::engine::{
     AdaptiveJoinEngine, CacheMode, EngineConfig, ReoptInterval, SelectionStrategy,
 };
 use acq::shard::reference::ScopedShardedEngine;
-use acq::shard::{canonicalize_group, ShardConfig, ShardedEngine};
+use acq::shard::{canonicalize_group, ShardConfig, ShardedEngine, INLINE_BATCH};
 use acq::{EnumerationConfig, MemoryConfig, ProfilerConfig};
 use acq_mjoin::oracle::{
     canonical_rows, multiset_diff, CanonicalRow, Oracle, OracleWindow, WindowedOracle,
@@ -43,7 +46,8 @@ use acq_telemetry::{check_laws, ENGINE_LAWS};
 /// Run invariant sweeps every this many updates (and always at the end).
 const INVARIANT_EVERY: usize = 48;
 
-/// Batch size for the sharded executor (exercises batching + merge).
+/// Size of the small batches fed to the sharded executors, which run every
+/// shard on the caller (exercises batching + merge).
 const SHARD_BATCH: usize = 16;
 
 /// Canonicalized per-update deltas for one full run.
@@ -221,6 +225,22 @@ pub fn run_engine_updates(
     Ok(())
 }
 
+/// The batches fed to the sharded executors: alternately [`SHARD_BATCH`]
+/// and [`INLINE_BATCH`] updates, so a long enough case runs both the
+/// caller-only path and the scoped-thread fan-out.
+fn shard_batches(updates: &[Update]) -> impl Iterator<Item = &[Update]> {
+    let (mut rest, mut large) = (updates, false);
+    std::iter::from_fn(move || {
+        if rest.is_empty() {
+            return None;
+        }
+        let len = if large { INLINE_BATCH } else { SHARD_BATCH };
+        let (batch, tail) = rest.split_at(len.min(rest.len()));
+        (rest, large) = (tail, !large);
+        Some(batch)
+    })
+}
+
 /// Precompute the oracle's per-update deltas for the derived stream.
 pub fn oracle_deltas(spec: &CaseSpec, updates: &[Update]) -> RunDeltas {
     let mut oracle = Oracle::new(spec.schema.query());
@@ -298,7 +318,7 @@ pub fn run_case(spec: &CaseSpec) -> Result<CaseOutcome, CaseFailure> {
         outcome.runs += 1;
         let mut grouped: RunDeltas = Vec::with_capacity(updates.len());
         let mut since_sweep = 0usize;
-        for batch in updates.chunks(SHARD_BATCH) {
+        for batch in shard_batches(&updates) {
             for mut group in sharded.process_batch_grouped(batch) {
                 canonicalize_group(&mut group, n);
                 grouped.push(
@@ -365,7 +385,7 @@ pub fn run_case(spec: &CaseSpec) -> Result<CaseOutcome, CaseFailure> {
             },
         );
         let mut scoped_grouped: RunDeltas = Vec::with_capacity(updates.len());
-        for batch in updates.chunks(SHARD_BATCH) {
+        for batch in shard_batches(&updates) {
             for mut group in scoped.process_batch_grouped(batch) {
                 canonicalize_group(&mut group, n);
                 scoped_grouped.push(

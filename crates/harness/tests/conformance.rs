@@ -58,6 +58,51 @@ fn maintenance_heavy_case() -> CaseSpec {
     }
 }
 
+/// A hand-built chain3 case of over 600 updates on 1, 2 and 4 shards. The
+/// sweep feeds the shards alternately 16 and `INLINE_BATCH` updates, so
+/// its 256-update batches fan the shards out to scoped threads (on a host
+/// with more than one core) and meet the oracle, the scoped-thread
+/// reference executor and the mid-run invariant sweeps.
+fn threaded_shards_case() -> CaseSpec {
+    let mut arrivals = Vec::new();
+    for i in 0..120i64 {
+        let ts = 3 * i as u64;
+        let (a, b) = (i % 7, i * 3 % 5);
+        arrivals.push(ArrivalSpec {
+            rel: 0,
+            ts,
+            vals: vec![a],
+        });
+        arrivals.push(ArrivalSpec {
+            rel: 1,
+            ts: ts + 1,
+            vals: vec![a, b],
+        });
+        arrivals.push(ArrivalSpec {
+            rel: 2,
+            ts: ts + 2,
+            vals: vec![i % 5],
+        });
+    }
+    CaseSpec {
+        name: "threaded-shards".to_string(),
+        schema: SchemaSpec::Chain3,
+        windows: vec![8, 16, 8],
+        churns: Vec::new(),
+        arrivals,
+        configs: vec![ConfigId::Forced, ConfigId::Greedy],
+        shards: vec![1, 2, 4],
+    }
+}
+
+#[test]
+fn threaded_shard_batches_are_green() {
+    let spec = threaded_shards_case();
+    let outcome = sweep::run_case(&spec).unwrap_or_else(|f| panic!("[{}] {}", f.run, f.detail));
+    assert!(outcome.updates >= 600, "only {} updates", outcome.updates);
+    assert_eq!(outcome.runs, spec.configs.len() + 2 * spec.shards.len());
+}
+
 #[test]
 fn sanity_maintenance_case_is_green() {
     let spec = maintenance_heavy_case();

@@ -1,13 +1,14 @@
 //! [`JoinCore`]: relation stores + query graph + virtual clock.
 //!
-//! The single-operator primitive [`JoinCore::probe_join`] implements `./_{i_j}`
-//! of §3.1 — join a (composite) input tuple with one relation, enforcing all
-//! compiled predicates, via hash index when the operator has an access path
-//! and nested-loop scan otherwise — charging the virtual clock for every
-//! physical step. Plain MJoin, the XJoin baseline, and the A-Caching engine
-//! all drive this primitive; they differ only in *when* they call it and what
-//! state they maintain around it. [`JoinCore::walk`] runs a composite through
-//! a run of operators depth first, with the same charges.
+//! [`JoinCore::walk`] is the one operator kernel: it runs a composite
+//! through a run of join operators depth first, each operator `./_{i_j}`
+//! of §3.1 joining its input with one relation, enforcing all compiled
+//! predicates, via hash index when the operator has an access path and
+//! nested-loop scan otherwise, and charging the virtual clock for every
+//! physical step. Its one-operator case is
+//! [`JoinCore::probe_join_owned`]. Plain MJoin, the XJoin baseline's leaf
+//! joins, and the A-Caching engine all drive these two; they differ only
+//! in *when* they call them and what state they maintain around them.
 
 use crate::clock::{CostModel, VirtualClock};
 use crate::plan::CompiledOp;
@@ -127,66 +128,15 @@ impl JoinCore {
         }
     }
 
-    /// Execute one join operator: join `input` with `op.target`, returning
-    /// the matching concatenations `input · t`.
+    /// Execute one join operator: join `input` with `op.target`, appending
+    /// the matching concatenations `input · t` to `out` (callers reuse
+    /// buffers across calls to keep the hot path allocation-free). Returns
+    /// the number of results appended.
     ///
-    /// Results are appended to `out` (callers reuse buffers across calls to
-    /// keep the hot path allocation-free). Returns the number of matches.
-    pub fn probe_join(
-        &mut self,
-        input: &Composite,
-        op: &CompiledOp,
-        out: &mut Vec<Composite>,
-    ) -> usize {
-        let rel = &self.relations[op.target.0 as usize];
-        let before = out.len();
-        match op.index_access {
-            Some((col, probe_attr)) => {
-                let v = input
-                    .get(probe_attr)
-                    .expect("probe attribute must be bound in the prefix");
-                if v.is_null() {
-                    // Equijoin: NULL matches nothing; still pay the probe.
-                    self.clock.charge(self.cost.index_probe);
-                    return 0;
-                }
-                let mut matches = 0usize;
-                for t in rel.probe(col, v) {
-                    matches += 1;
-                    if residuals_hold(|a| input.get(a), t, &op.residual) {
-                        out.push(input.extend_with(t.clone()));
-                    }
-                }
-                self.resolved_direct += matches as u64;
-                let produced = out.len() - before;
-                self.clock.charge(
-                    self.cost.indexed_join(matches, op.residual.len())
-                        + produced as u64 * self.cost.concat,
-                );
-                produced
-            }
-            None => {
-                let scanned = rel.len();
-                for t in rel.scan() {
-                    if residuals_hold(|a| input.get(a), t, &op.residual) {
-                        out.push(input.extend_with(t.clone()));
-                    }
-                }
-                let produced = out.len() - before;
-                self.clock.charge(
-                    self.cost.scan_join(scanned, op.residual.len())
-                        + produced as u64 * self.cost.concat,
-                );
-                produced
-            }
-        }
-    }
-
-    /// [`probe_join`](Self::probe_join) with an owned input: the prefix is
-    /// *moved* into the output for the final qualifying match instead of
-    /// cloned, so a probe with m matches touches the prefix refcounts m-1
-    /// times rather than m (and zero times for the common m = 1 case).
-    /// Output content and order are identical to the by-ref version.
+    /// The prefix is *moved* into the output for the final qualifying match
+    /// instead of cloned, so a probe with m matches touches the prefix
+    /// refcounts m-1 times rather than m (and zero times for the common
+    /// m = 1 case).
     pub fn probe_join_owned(
         &mut self,
         input: Composite,
@@ -273,16 +223,17 @@ impl JoinCore {
     /// [`resolved_direct`](Self::resolved_direct) count.
     ///
     /// `tally[j]` (at least `ops.len()` entries) gains `(prefixes that
-    /// entered ops[j], virtual ns charged to ops[j])`. `on_probe(j, produced)`
-    /// fires once per prefix entering `ops[j]` with its qualifying match
-    /// count; for a fixed `j` the calls come in breadth-first order.
+    /// entered ops[j], virtual ns charged to ops[j])`. `on_probe(j, produced,
+    /// target_size)` fires once per prefix entering `ops[j]` with its
+    /// qualifying match count and the size of `ops[j]`'s target relation;
+    /// for a fixed `j` the calls come in breadth-first order.
     pub fn walk(
         &mut self,
         seed: Composite,
         ops: &[CompiledOp],
         tally: &mut [(u64, u64)],
         out: &mut Vec<Composite>,
-        mut on_probe: impl FnMut(usize, usize),
+        mut on_probe: impl FnMut(usize, usize, usize),
     ) {
         let Some((last, inner)) = ops.split_last() else {
             out.push(seed);
@@ -293,7 +244,7 @@ impl JoinCore {
             let produced = self.probe_join_owned(seed, last, out);
             tally[0].0 += 1;
             tally[0].1 += self.clock.now_ns() - t0;
-            on_probe(0, produced);
+            on_probe(0, produced, self.relations[last.target.0 as usize].len());
             return;
         }
         assert!(
@@ -329,15 +280,6 @@ impl JoinCore {
         self.clock.charge(ns);
     }
 
-    /// Run `seed` through a full compiled pipeline (no caches), returning all
-    /// n-way results. This is the inner loop of plain MJoin processing.
-    pub fn run_pipeline(&mut self, seed: Composite, ops: &[CompiledOp]) -> Vec<Composite> {
-        let mut out = Vec::new();
-        let mut tally = [(0, 0); MAX_PARTS];
-        self.walk(seed, ops, &mut tally, &mut out, |_, _| {});
-        out
-    }
-
     /// Charge the per-result output cost for `count` emitted deltas.
     pub fn charge_outputs(&mut self, count: usize) {
         self.clock.charge(count as u64 * self.cost.emit_output);
@@ -367,7 +309,7 @@ struct Walk<'a, F> {
     ns: u64,
 }
 
-impl<'a, F: FnMut(usize, usize)> Walk<'a, F> {
+impl<'a, F: FnMut(usize, usize, usize)> Walk<'a, F> {
     /// Attribute `a` of the prefix entering `ops[depth]`.
     #[inline]
     fn get(&self, a: AttrRef, depth: usize) -> Option<&'a Value> {
@@ -412,7 +354,7 @@ impl<'a, F: FnMut(usize, usize)> Walk<'a, F> {
         };
         self.tally[j].1 += ns;
         self.ns += ns;
-        (self.on_probe)(j, produced);
+        (self.on_probe)(j, produced, rel.len());
     }
 
     /// Follow every candidate of `ops[j]` that passes the residuals;
@@ -505,6 +447,14 @@ mod tests {
             .unwrap()
     }
 
+    /// Every n-way result of `seed` through the whole pipeline `ops`.
+    fn walk_all(core: &mut JoinCore, seed: Composite, ops: &[CompiledOp]) -> Vec<Composite> {
+        let mut out = Vec::new();
+        let mut tally = [(0, 0); MAX_PARTS];
+        core.walk(seed, ops, &mut tally, &mut out, |_, _, _| {});
+        out
+    }
+
     #[test]
     fn indexes_created_on_join_columns() {
         let core = chain3_core();
@@ -533,7 +483,7 @@ mod tests {
             order: vec![RelId(1), RelId(2)],
         };
         let ops = CompiledOp::compile_pipeline(core.query(), core.relations(), &order);
-        let results = core.run_pipeline(Composite::unit(r_new), &ops);
+        let results = walk_all(&mut core, Composite::unit(r_new), &ops);
         assert_eq!(results.len(), 1);
         let r = &results[0];
         assert_eq!(
@@ -559,7 +509,7 @@ mod tests {
         let r_new = ins(&mut core, 0, &[1]);
         let op = CompiledOp::compile(core.query(), core.relations(), &[RelId(0)], RelId(1));
         let mut out = Vec::new();
-        let n = core.probe_join(&Composite::unit(r_new), &op, &mut out);
+        let n = core.probe_join_owned(Composite::unit(r_new), &op, &mut out);
         assert_eq!(n, 2);
         assert_eq!(out.len(), 2);
     }
@@ -572,7 +522,7 @@ mod tests {
         let r_new = ins(&mut core, 0, &[1]);
         let op = CompiledOp::compile(core.query(), core.relations(), &[RelId(0)], RelId(1));
         let mut out = Vec::new();
-        core.probe_join(&Composite::unit(r_new), &op, &mut out);
+        core.probe_join_owned(Composite::unit(r_new), &op, &mut out);
         let cost = core.now_ns() - before;
         let m = core.cost_model();
         assert_eq!(cost, m.store_insert + m.indexed_join(1, 0) + m.concat);
@@ -589,7 +539,7 @@ mod tests {
         let op = CompiledOp::compile(core.query(), core.relations(), &[RelId(0)], RelId(1));
         assert!(op.index_access.is_none());
         let mut out = Vec::new();
-        let n = core.probe_join(&Composite::unit(r_new), &op, &mut out);
+        let n = core.probe_join_owned(Composite::unit(r_new), &op, &mut out);
         assert_eq!(n, 2, "two S tuples with A=1");
     }
 
@@ -610,7 +560,7 @@ mod tests {
             .unwrap();
         let op = CompiledOp::compile(core.query(), core.relations(), &[RelId(0)], RelId(1));
         let mut out = Vec::new();
-        let n = core.probe_join(&Composite::unit(r_new), &op, &mut out);
+        let n = core.probe_join_owned(Composite::unit(r_new), &op, &mut out);
         assert_eq!(n, 0, "NULL = NULL must not join");
     }
 
@@ -623,7 +573,7 @@ mod tests {
     }
 
     #[test]
-    fn run_pipeline_empty_frontier_short_circuits() {
+    fn walk_empty_frontier_short_circuits() {
         let mut core = chain3_core();
         // Empty S: pipeline dies at the first operator.
         let r_new = ins(&mut core, 0, &[1]);
@@ -632,7 +582,7 @@ mod tests {
             order: vec![RelId(1), RelId(2)],
         };
         let ops = CompiledOp::compile_pipeline(core.query(), core.relations(), &order);
-        let results = core.run_pipeline(Composite::unit(r_new), &ops);
+        let results = walk_all(&mut core, Composite::unit(r_new), &ops);
         assert!(results.is_empty());
     }
 }

@@ -14,12 +14,16 @@
 //!   each operator joins its input with one relation, enforcing all
 //!   predicates against the relations already joined, via hash index when
 //!   available).
-//! * [`exec`] — [`exec::JoinCore`]: relation stores + query graph + clock;
-//!   the single-operator `probe_join` primitive that MJoin, XJoin, and the
-//!   A-Caching engine all drive.
+//! * [`exec`] — [`exec::JoinCore`]: relation stores + query graph + clock,
+//!   and the one operator kernel: [`JoinCore::walk`] runs a composite
+//!   through a run of operators depth first, and its one-operator case
+//!   [`JoinCore::probe_join_owned`] runs a single operator. MJoin, XJoin's
+//!   leaf joins, and the A-Caching engine all drive these two.
 //! * [`metrics`] — per-pipeline / per-operator execution metrics
 //!   ([`metrics::OpStats`], [`metrics::PipelineMetrics`]) shared by every
-//!   executor, exportable into `acq-telemetry` snapshots.
+//!   executor, exportable into `acq-telemetry` snapshots;
+//!   [`PipelineMetrics::record_walk`] turns a walk's per-operator tally
+//!   into them.
 //! * [`mjoin`] — the plain MJoin executor [`mjoin::MJoin`] (baseline `M`).
 //! * [`ordering`] — A-Greedy–style adaptive join ordering (reference \[5\] of
 //!   the paper), used by both MJoin and A-Caching plans.

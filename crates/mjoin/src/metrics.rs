@@ -62,6 +62,32 @@ impl PipelineMetrics {
         self.ops[j].record(tuples_in, tuples_out, cost_ns);
     }
 
+    /// Record a [`JoinCore::walk`](crate::exec::JoinCore::walk) over
+    /// positions `start..start + tally.len()`. `tally[k]` is the walk's
+    /// `(prefixes in, virtual ns)` for position `start + k`; a position's
+    /// output count is the next one's input count, the last one's is
+    /// `tuples_out`. Positions no prefix reached record nothing. When
+    /// `profile` is given, one `(tuples in, ns)` entry per position,
+    /// reached or not, is appended to it (the profiler's per-position
+    /// record).
+    pub fn record_walk(
+        &mut self,
+        start: usize,
+        tally: &[(u64, u64)],
+        tuples_out: u64,
+        mut profile: Option<&mut Vec<(f64, u64)>>,
+    ) {
+        for (k, &(tuples_in, ns)) in tally.iter().enumerate() {
+            if let Some(rec) = profile.as_deref_mut() {
+                rec.push((tuples_in as f64, ns));
+            }
+            if tuples_in > 0 {
+                let out = tally.get(k + 1).map_or(tuples_out, |next| next.0);
+                self.record_op(start + k, tuples_in, out, ns);
+            }
+        }
+    }
+
     /// Reset all counts, resizing to `n_ops` positions (used when a plan is
     /// reordered — per-position stats are order-specific).
     pub fn reset(&mut self, n_ops: usize) {
@@ -121,6 +147,24 @@ mod tests {
             .get("op.fanout", &[("pipeline", "0"), ("op", "0")])
             .and_then(|v| v.as_ratio());
         assert_eq!(fanout, Some(3.0));
+    }
+
+    #[test]
+    fn record_walk_chains_counts_and_profiles() {
+        let mut pm = PipelineMetrics::new(4);
+        let mut profile = Vec::new();
+        // Positions 1..4: 2 prefixes in, 3 survive into position 2, none
+        // into position 3; 5 results would come out of position 3.
+        pm.record_walk(1, &[(2, 40), (3, 90), (0, 0)], 5, Some(&mut profile));
+        assert_eq!(profile, vec![(2.0, 40), (3.0, 90), (0.0, 0)]);
+        let rows: Vec<_> = pm
+            .ops
+            .iter()
+            .map(|o| (o.tuples_in, o.tuples_out, o.cost_ns))
+            .collect();
+        assert_eq!(rows, vec![(0, 0, 0), (2, 3, 40), (3, 0, 90), (0, 0, 0)]);
+        pm.record_walk(3, &[(4, 10)], 6, None);
+        assert_eq!(pm.ops[3].tuples_out, 6);
     }
 
     #[test]

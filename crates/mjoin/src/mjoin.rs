@@ -15,7 +15,7 @@ use crate::metrics::PipelineMetrics;
 use crate::ordering::GreedyOrderer;
 use crate::plan::{CompiledOp, PlanOrders};
 use crate::stats::OnlineStats;
-use acq_stream::{Composite, Op, QuerySchema, RelId, Update};
+use acq_stream::{Composite, Op, QuerySchema, RelId, Update, MAX_PARTS};
 use acq_telemetry::TelemetrySnapshot;
 
 pub use crate::metrics::OpStats;
@@ -174,41 +174,21 @@ impl MJoin {
         let pipeline = u.rel.0 as usize;
         self.metrics[pipeline].record_update();
         let ops = &self.compiled[pipeline];
-        let mut frontier = vec![Composite::unit(tref)];
-        let mut next: Vec<Composite> = Vec::new();
-        for (j, op) in ops.iter().enumerate() {
-            if frontier.is_empty() {
-                break;
-            }
-            next.clear();
-            let t0 = self.core.now_ns();
-            let in_count = frontier.len() as u64;
-            for c in &frontier {
-                let produced_before = next.len();
-                self.core.probe_join(c, op, &mut next);
-                // Identifiable single-predicate probe → selectivity sample.
-                if let Some(source) = op.single_predicate_source() {
-                    let produced = next.len() - produced_before;
-                    self.online.record_probe(
-                        source,
-                        op.target,
-                        produced,
-                        self.core.relation(op.target).len(),
-                    );
-                }
-            }
-            self.metrics[pipeline].record_op(
-                j,
-                in_count,
-                next.len() as u64,
-                self.core.now_ns() - t0,
-            );
-            std::mem::swap(&mut frontier, &mut next);
-        }
+        let tally = &mut [(0, 0); MAX_PARTS][..ops.len()];
+        let mut out = Vec::new();
+        let online = &mut self.online;
+        self.core.walk(
+            Composite::unit(tref),
+            ops,
+            tally,
+            &mut out,
+            |j, produced, size| online.record_op_probe(&ops[j], produced, size),
+        );
+        self.metrics[pipeline].record_walk(0, tally, out.len() as u64, None);
 
-        self.core.charge_outputs(frontier.len());
-        self.outputs_emitted += frontier.len() as u64;
-        frontier.into_iter().map(|c| (u.op, c)).collect()
+        self.core.charge_outputs(out.len());
+        self.outputs_emitted += out.len() as u64;
+        out.into_iter().map(|c| (u.op, c)).collect()
     }
 
     /// Adaptive-ordering hook: snapshot online statistics and reorder if the

@@ -7,6 +7,7 @@
 //! averages, Table 1) so adaptive components can react when the workload
 //! drifts.
 
+use crate::plan::CompiledOp;
 use acq_sketch::WindowStat;
 use acq_stream::RelId;
 
@@ -119,6 +120,15 @@ impl OnlineStats {
     /// Record the current window cardinality of a relation.
     pub fn record_size(&mut self, rel: RelId, size: usize) {
         self.sizes[rel.0 as usize] = size as f64;
+    }
+
+    /// Record one probe of `op` that found `matches` of `target_size`
+    /// tuples: a selectivity sample when the operator has a single
+    /// identifiable source predicate, nothing otherwise.
+    pub fn record_op_probe(&mut self, op: &CompiledOp, matches: usize, target_size: usize) {
+        if let Some(source) = op.single_predicate_source() {
+            self.record_probe(source, op.target, matches, target_size);
+        }
     }
 
     /// Record one identifiable probe: joining into `target` from `source`

@@ -381,8 +381,8 @@ impl XJoin {
                 let prefix = child_rels(&self.nodes, entering);
                 let op_c =
                     CompiledOp::compile(self.core.query(), self.core.relations(), &prefix, r);
-                for d in &deltas {
-                    self.core.probe_join(d, &op_c, &mut out);
+                for d in deltas {
+                    self.core.probe_join_owned(d, &op_c, &mut out);
                 }
             }
             ChildRef::Node(sib) => {

@@ -8,48 +8,19 @@
 //! cannot silently regress, with no cache, with a plain cache (miss walks
 //! and profiled walks), and with a globally-consistent cache (separately
 //! computed maintenance) on the §7.2 stream and on Figure 12's cyclic one.
-
-use std::alloc::{GlobalAlloc, Layout, System};
-use std::cell::Cell;
+//! Allocations are counted by `acq_bench::alloc::CountingAlloc`.
 
 use acq::candidates::EnumerationConfig;
 use acq::engine::{AdaptiveJoinEngine, CacheMode, EngineConfig, ReoptInterval};
+use acq_bench::alloc::{thread_allocs, CountingAlloc};
 use acq_gen::column::ColumnGen;
 use acq_gen::spec::{chain3_default, StreamSpec, Workload};
 use acq_mjoin::plan::{PipelineOrder, PlanOrders};
 use acq_stream::{QuerySchema, RelId, Update};
 use acq_telemetry::MetricValue;
 
-/// System allocator wrapper counting every allocation (and reallocation —
-/// a growing `Vec` is still an allocation for our purposes). Counts are per
-/// thread: the engine runs on the test's thread, and tests run in parallel.
-struct CountingAlloc;
-
-thread_local! {
-    /// Allocations made on this thread. Const-initialized with no
-    /// destructor, so the allocator can touch it at any point.
-    static ALLOCS: Cell<u64> = const { Cell::new(0) };
-}
-
-fn count() {
-    // `try_with` fails only while the thread's TLS is being torn down.
-    let _ = ALLOCS.try_with(|n| n.set(n.get() + 1));
-}
-
-unsafe impl GlobalAlloc for CountingAlloc {
-    unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
-        count();
-        System.alloc(layout)
-    }
-    unsafe fn dealloc(&self, ptr: *mut u8, layout: Layout) {
-        System.dealloc(ptr, layout)
-    }
-    unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
-        count();
-        System.realloc(ptr, layout, new_size)
-    }
-}
-
+/// Counts are per thread: the engine runs on the test's thread, and tests
+/// run in parallel.
 #[global_allocator]
 static GLOBAL: CountingAlloc = CountingAlloc;
 
@@ -90,12 +61,12 @@ fn assert_steady_state_allocation_free(
         measured.len() >= 5_000,
         "stream too short for a steady state"
     );
-    let before = ALLOCS.with(Cell::get);
+    let before = thread_allocs();
     for u in measured {
         out.clear();
         engine.process_into(u, &mut out);
     }
-    let allocs = ALLOCS.with(Cell::get) - before;
+    let allocs = thread_allocs() - before;
     assert_eq!(
         allocs,
         0,
